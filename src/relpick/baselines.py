@@ -70,10 +70,7 @@ def select_kcenter(
     times: list[float] = []
     for _ in range(s - 1):
         t0 = time.perf_counter()
-        centers = X[order]
-        # squared distances to every current center, then coverage min
-        d2 = sq[:, None] - 2.0 * (X @ centers.T) + sq[order][None, :]
-        cover = np.maximum(d2.min(axis=1), 0.0)
+        cover = np.maximum(_sq_distances(X, sq, order).min(axis=1), 0.0)
         cover[selected] = -np.inf
         x = int(np.argmax(cover))  # first max: lowest index on ties
         order.append(x)
@@ -85,6 +82,10 @@ def select_kcenter(
 def covering_radius(E: EmbeddingMatrix, centers) -> float:
     """Max distance from any point to its nearest center."""
     X = E.data.astype(np.float64)
-    idx = [int(i) for i in centers]
-    d2 = ((X[:, None, :] - X[idx][None, :, :]) ** 2).sum(axis=2)
+    d2 = _sq_distances(X, np.einsum("ij,ij->i", X, X), [int(i) for i in centers])
     return float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max())
+
+
+def _sq_distances(X: np.ndarray, sq: np.ndarray, centers: list[int]) -> np.ndarray:
+    """Squared distances of every row to each center, ||x||^2 - 2 x.c + ||c||^2."""
+    return sq[:, None] - 2.0 * (X @ X[centers].T) + sq[centers][None, :]

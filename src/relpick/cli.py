@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import baselines, oracle, pruner, simgraph
 from .dataspec import (
@@ -29,6 +26,7 @@ from .dataspec import (
 from .errors import ConfigError, RelpickError
 
 BENCH_MIN_M = 512
+DEFAULT_TAU = 0.975
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
@@ -79,17 +77,20 @@ def cmd_select(args) -> int:
         G = simgraph.load_graph(args.graph)
         if G.m != E.m:
             raise ConfigError(f"graph size {G.m} does not match {E.m} embeddings")
+        if args.tau is not None and args.tau != G.tau:
+            raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
+        tau = G.tau
     else:
-        G = simgraph.build_graph(E, args.tau)
+        tau = DEFAULT_TAU if args.tau is None else args.tau
+        G = simgraph.build_graph(E, tau)
     C = _load_confidence(args, E.m)
     labels = load_labels(args.labels) if args.labels else None
     cfg = SelectionConfig(
         budget=args.budget,
-        tau=args.tau,
+        tau=tau,
         utility=args.utility,
         rule=args.rule,
         balanced=args.balanced,
-        seed=args.seed,
     )
     result = pruner.select(G, C, labels, cfg)
     _emit(result.to_json(), args.out)
@@ -102,14 +103,6 @@ def cmd_oracle(args) -> int:
     C = _load_confidence(args, E.m)
     u = pruner.Utility.tanh() if args.utility == "tanh" else pruner.Utility.identity()
     best, best_obj = oracle.brute_force_optimum(G, C, args.budget, u)
-
-    # Evaluate achieved subsets on the oracle's own dense evaluator so
-    # that comparing a subset against itself yields a ratio of exactly 1.
-    W = G.dense_weights()
-
-    def evaluate(idx: list[int]) -> float:
-        return float(np.sum(u(W[:, idx] @ C.values[idx])))
-
     payload = {
         "schema": 1,
         "optimum": [int(i) for i in best],
@@ -120,7 +113,10 @@ def cmd_oracle(args) -> int:
     }
     if args.result:
         achieved = json.loads(Path(args.result).read_text())["order"]
-        payload["achieved_objective"] = evaluate([int(i) for i in achieved])
+        # scored on the oracle's own dense evaluator, so that a subset
+        # compared against itself yields a ratio of exactly 1
+        payload["achieved_objective"] = oracle.dense_objective(
+            G.dense_weights(), C, achieved, u)
         payload["ratio"] = (
             payload["achieved_objective"] / best_obj if best_obj > 0 else 1.0
         )
@@ -146,7 +142,7 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
         E, C, labels, _ = oracle.random_instance(
             seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2
         )
-        cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate", seed=seed)
+        cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
         result = pruner.select_streaming(E, C, cfg)
         for step, t in enumerate(result.wall_times):
             rows.append({"algorithm": "prune4rel", "m": m, "step": step, "seconds": t})
@@ -170,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="relpick",
         description="Noise-robust data pruning by neighborhood-confidence coverage",
     )
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("RELPICK_THREADS", "0")),
-                        help="worker cap (0 = auto); results are identical regardless")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build and cache the neighborhood graph")
@@ -184,12 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="run greedy subset selection")
     _add_embedding_args(p)
     p.add_argument("--graph", help="pre-built graph cache (skips construction)")
-    p.add_argument("--tau", type=float, default=0.975)
+    p.add_argument("--tau", type=float, default=None,
+                   help=f"similarity threshold (default: the --graph cache's tau, else "
+                        f"{DEFAULT_TAU}); must match the cache's tau when both are given")
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--rule", choices=("surrogate", "exact", "lazy"), default="surrogate")
     p.add_argument("--utility", choices=("tanh", "identity"), default="tanh")
     p.add_argument("--balanced", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", help="label file (one class id per line)")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--confidences", help="confidence file (one value per line)")
@@ -200,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force optimum and approximation ratio")
     _add_embedding_args(p)
-    p.add_argument("--tau", type=float, default=0.975)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--utility", choices=("tanh", "identity"), default="tanh")
     src = p.add_mutually_exclusive_group(required=True)

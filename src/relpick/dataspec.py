@@ -12,8 +12,9 @@ Vectors reuse the same container with a single column.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,6 @@ class SelectionConfig:
     utility: str = "tanh"
     rule: str = "surrogate"
     balanced: bool = False
-    seed: int = 0
     utility_knots: tuple | None = None
 
     def __post_init__(self):
@@ -191,15 +191,10 @@ class SelectionConfig:
             raise ConfigError("piecewise utility requires utility_knots")
 
     def to_dict(self) -> dict:
-        d = {
-            "budget": self.budget,
-            "tau": self.tau,
-            "utility": self.utility,
-            "rule": self.rule,
-            "balanced": self.balanced,
-            "seed": self.seed,
-        }
-        if self.utility_knots is not None:
+        d = asdict(self)
+        if self.utility_knots is None:
+            del d["utility_knots"]
+        else:
             d["utility_knots"] = [list(k) for k in self.utility_knots]
         return d
 
@@ -250,17 +245,18 @@ def write_matrix_binary(path: str | Path, data: np.ndarray) -> None:
 
 
 def read_matrix_binary(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 24 or raw[:8] != MATRIX_MAGIC:
-        raise FormatError(f"{path}: missing or corrupt matrix header")
-    m, d = struct.unpack("<QQ", raw[8:24])
-    payload = raw[24:]
-    expected = m * d * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: header says {m}x{d} ({expected} payload bytes) but file has {len(payload)}"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(m, d).copy()
+    with open(path, "rb") as f:
+        head = f.read(24)
+        if len(head) < 24 or head[:8] != MATRIX_MAGIC:
+            raise FormatError(f"{path}: missing or corrupt matrix header")
+        m, d = struct.unpack("<QQ", head[8:24])
+        size = os.fstat(f.fileno()).st_size - 24
+        expected = m * d * 4
+        if size != expected:
+            raise FormatError(
+                f"{path}: header says {m}x{d} ({expected} payload bytes) but file has {size}"
+            )
+        return np.fromfile(f, dtype="<f4", count=m * d).reshape(m, d)
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

@@ -52,6 +52,13 @@ def naive_objective(E: EmbeddingMatrix, C: ConfidenceVector, tau: float, S, u) -
     return total
 
 
+def dense_objective(W: np.ndarray, C: ConfidenceVector, S, u) -> float:
+    """Objective of subset S on the dense weight matrix W. Columns are taken
+    in sorted order, so a set scores the same in whatever order it is given."""
+    idx = sorted(int(i) for i in S)
+    return float(np.sum(u(W[:, idx] @ C.values[idx])))
+
+
 def brute_force_optimum(
     G: NeighborGraph, C: ConfidenceVector, s: int, u
 ) -> tuple[tuple[int, ...], float]:
@@ -67,13 +74,10 @@ def brute_force_optimum(
             f"of {ENUMERATION_LIMIT}"
         )
     W = G.dense_weights()
-    conf = C.values
     best_subset: tuple[int, ...] | None = None
     best_obj = -np.inf
     for combo in combinations(range(m), s):  # lexicographic order
-        idx = list(combo)
-        cn = W[:, idx] @ conf[idx]
-        obj = float(np.sum(u(cn)))
+        obj = dense_objective(W, C, combo, u)
         if obj > best_obj + 1e-12:
             best_subset, best_obj = combo, obj
     return best_subset, best_obj

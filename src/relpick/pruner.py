@@ -4,14 +4,16 @@ The objective of a subset S is sum_i u(cn_i(S)) where cn_i(S) is the
 similarity-weighted sum of confidences of i's selected neighbors and u
 is a non-decreasing concave utility with u(0) = 0 (tanh by default).
 
-Three selection rules are provided:
-
-* ``surrogate`` — at each step pick the candidate x maximizing its own
-  gain u(cn[x] + C[x]) - u(cn[x]); cheap, the method's default.
-* ``exact``     — pick the candidate maximizing the true objective
-  marginal, which carries the classic (1 - 1/e) greedy guarantee.
-* ``lazy``      — CELF-style lazy evaluation of the exact marginal;
-  output is index-for-index identical to ``exact``.
+Every selection runs one greedy loop, ``_greedy``, built from a neighbor
+provider and a pick policy. The provider adds each pick's weighted
+confidence to the accumulator: a CSR row slice of a prebuilt graph
+(``select``), or an O(m d) on-the-fly similarity scan (``select_streaming``).
+The policy picks the candidate of highest ``surrogate`` self gain
+u(cn[x] + C[x]) - u(cn[x]) (the method's cheap default) or highest
+``exact`` objective marginal (the classic (1 - 1/e) greedy guarantee),
+either over all candidates or round-robin over label classes (balanced);
+or it runs CELF (``lazy``: Minoux 1978; Leskovec et al., KDD 2007), whose
+output is index-for-index identical to ``exact``.
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -21,7 +23,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,29 +36,24 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import NeighborGraph
+from .simgraph import NeighborGraph, edge_threshold, unit_rows
+
+_ALL = slice(None)
+_FIRST = np.zeros(1, dtype=np.intp)
 
 
 class Utility:
     """Non-decreasing concave map with u(0) = 0, applied elementwise."""
 
-    def __init__(self, kind: str, fn, knots=None):
+    def __init__(self, kind: str, fn):
         self.kind = kind
         self._fn = fn
-        self.knots = knots
 
-    def __call__(self, z):
-        return self._fn(np.asarray(z, dtype=np.float64))
-
-    def into(self, z: np.ndarray, out: np.ndarray) -> None:
-        """Apply elementwise into a preallocated buffer (hot loop path)."""
-        if self.kind == "tanh":
-            np.tanh(z, out=out)
-        elif self.kind == "identity":
-            if out is not z:
-                np.copyto(out, z)
-        else:
-            out[...] = self._fn(z)
+    def __call__(self, z, out=None):
+        """u(z); ``out``, when given, is a buffer the result may be written
+        into, and is passed on only then, so fn may take z alone."""
+        z = np.asarray(z, dtype=np.float64)
+        return self._fn(z) if out is None else self._fn(z, out=out)
 
     @classmethod
     def tanh(cls) -> "Utility":
@@ -63,7 +61,7 @@ class Utility:
 
     @classmethod
     def identity(cls) -> "Utility":
-        return cls("identity", lambda z: z)
+        return cls("identity", np.positive)
 
     @classmethod
     def piecewise(cls, knots) -> "Utility":
@@ -76,7 +74,7 @@ class Utility:
         ys = np.array([p[1] for p in pts])
         if np.unique(xs).size != xs.size:
             raise ConfigError("piecewise utility knots must have distinct x values")
-        u = cls("piecewise", lambda z: np.interp(z, xs, ys), knots=pts)
+        u = cls("piecewise", lambda z, out=None: np.interp(z, xs, ys))
         u.validate_shape(grid_max=float(xs[-1]) * 1.5 + 1.0)
         return u
 
@@ -96,11 +94,13 @@ class Utility:
 
 
 def utility_from_config(cfg: SelectionConfig) -> Utility:
-    if cfg.utility == "tanh":
-        return Utility.tanh()
-    if cfg.utility == "identity":
-        return Utility.identity()
-    return Utility.piecewise(cfg.utility_knots)
+    """The configured utility, shape-checked."""
+    if cfg.utility == "piecewise":
+        u = Utility.piecewise(cfg.utility_knots)
+    else:
+        u = Utility.tanh() if cfg.utility == "tanh" else Utility.identity()
+    u.validate_shape()
+    return u
 
 
 @dataclass
@@ -118,10 +118,6 @@ class SelectionState:
             self.selected_mask = np.zeros(self.m, dtype=bool)
         if self.cn is None:
             self.cn = np.zeros(self.m, dtype=np.float64)
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - len(self.selected)
 
     def add(self, x: int, G: NeighborGraph, C: ConfidenceVector) -> None:
         if self.selected_mask[x]:
@@ -173,50 +169,125 @@ def exact_gain(
     if state.selected_mask[x]:
         raise DataError(f"index {x} already selected")
     js, ws = G.neighbors(x)
-    before = state.cn[js]
-    after = before + ws.astype(np.float64) * C.values[x]
-    return float((u(after) - u(before)).sum())
+    if js.size == 0:  # no stored edges, not even the self-loop
+        return 0.0
+    return float(_marginals(state.cn, js, ws.astype(np.float64) * C.values[x], _FIRST, u)[0])
 
 
-def _argmax_surrogate(state: SelectionState, C: ConfidenceVector, u: Utility,
-                      members: np.ndarray | None = None) -> tuple[int, float]:
-    cand = members if members is not None else np.arange(state.m)
-    cand = cand[~state.selected_mask[cand]]
-    cn = state.cn[cand]
-    gains = u(cn + C.values[cand]) - u(cn)
-    k = int(np.argmax(gains))  # first max: lowest index (cand is sorted)
-    return int(cand[k]), float(gains[k])
+def _marginals(cn: np.ndarray, js: np.ndarray, inc: np.ndarray, starts: np.ndarray,
+               u: Utility) -> np.ndarray:
+    """Segment sums of u(cn[j] + inc) - u(cn[j]) over the stored edges of
+    consecutive CSR rows, one segment per row from ``starts``. With inc =
+    w(x, j) C[x], row x's sum is its exact objective marginal. Segments
+    must be non-empty: every row holds its self-loop."""
+    before = cn[js]
+    return np.add.reduceat(u(before + inc) - u(before), starts)
 
 
-def _argmax_exact(G: NeighborGraph, C: ConfidenceVector, state: SelectionState,
-                  u: Utility, members: np.ndarray | None = None) -> tuple[int, float]:
-    cand = members if members is not None else np.arange(state.m)
-    best_x, best_g = -1, -np.inf
-    for x in cand:
-        if state.selected_mask[x]:
-            continue
-        g = exact_gain(G, C, state, int(x), u)
-        if g > best_g:
-            best_x, best_g = int(x), g
-    return best_x, best_g
+def _surrogate_gains(conf: np.ndarray, u: Utility):
+    # Reused buffers: an O(m) allocation per step would change the per-step
+    # cost profile that the scaling bench measures on the streaming scan.
+    buf, ucn = np.empty(conf.size), np.empty(conf.size)
+
+    def gains(cn: np.ndarray, rows) -> np.ndarray:
+        c = cn[rows]
+        g = u(np.add(c, conf[rows], out=buf[:c.size]), out=buf[:c.size])
+        return np.subtract(g, u(c, out=ucn[:c.size]), out=g)
+    return gains
 
 
-def _select_lazy(G: NeighborGraph, C: ConfidenceVector, state: SelectionState,
-                 u: Utility, s: int, on_pick) -> None:
-    """CELF: stale exact gains are upper bounds by submodularity, so the
-    heap top only needs refreshing until the freshest entry stays on top."""
-    step = 0
-    heap = [(-exact_gain(G, C, state, x, u), x, step) for x in range(G.m)]
-    heapq.heapify(heap)
-    while len(state.selected) < s and heap:
-        neg_g, x, stamp = heapq.heappop(heap)
-        if state.selected_mask[x]:
-            continue
-        if stamp == step:
-            on_pick(x, -neg_g)
-            step += 1
-        else:
-            heapq.heappush(heap, (-exact_gain(G, C, state, x, u), x, step))
+def _best_of(groups, gains):
+    """Pick policy: the unselected candidate of highest gain in the next
+    (rows, ids) group, cycling over the groups (all rows, or one group per
+    label class); a group with nothing left drops out of the cycle."""
+    groups = deque(groups)
+
+    def pick(state: SelectionState) -> tuple[int, float]:
+        while True:
+            rows, ids = groups.popleft()
+            g = gains(state.cn, rows)
+            g[state.selected_mask[rows]] = -np.inf
+            k = int(g.argmax())  # first max: lowest index
+            gain = float(g[k])
+            if gain > -np.inf:  # gains are >= 0, so -inf means exhausted
+                groups.append((rows, ids))
+                return int(ids[k]), gain
+    return pick
+
+
+def _celf(G: NeighborGraph, C: ConfidenceVector, u: Utility, gains):
+    """Lazy pick policy: stale exact gains are upper bounds by
+    submodularity, so the heap top only needs refreshing until the
+    freshest entry stays on top. The first pick fills the heap with the
+    vectorized ``gains``; refreshes are one-row ``exact_gain`` calls."""
+    heap: list[tuple[float, int, int]] = []
+
+    def pick(state: SelectionState) -> tuple[int, float]:
+        step = len(state.selected)
+        if step == 0:
+            heap[:] = [(-g, x, 0) for x, g in enumerate(gains(state.cn, _ALL).tolist())]
+            heapq.heapify(heap)
+        while heap[0][2] != step:
+            x = heap[0][1]
+            heapq.heapreplace(heap, (-exact_gain(G, C, state, x, u), x, step))
+        neg_g, x, _ = heapq.heappop(heap)
+        return x, -neg_g
+    return pick
+
+
+# Neighbor providers add pick x's weighted confidence w(., x) C[x] to the
+# accumulator and return (rows, inc): they added inc to cn[rows].
+
+def _graph_rows(G: NeighborGraph, conf: np.ndarray):
+    def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+        js, ws = G.neighbors(x)
+        inc = ws.astype(np.float64) * conf[x]
+        cn[js] += inc
+        return js, inc
+    return update
+
+
+def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
+    t32 = edge_threshold(tau)
+
+    def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+        sims = U @ U[x]
+        np.clip(sims, -1.0, 1.0, out=sims)
+        sims[x] = 1.0
+        w = sims.astype(np.float32)  # same quantization and edge rule as the graph
+        w64 = w.astype(np.float64)
+        w64[w < t32] = 0.0
+        inc = w64 * conf[x]
+        cn += inc  # dense, like the scan: a sparse update skews per-step cost
+        return _ALL, inc
+    return update
+
+
+def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update) -> SelectionResult:
+    """The greedy loop, over a budget clamped to the population. wall_times
+    cover each step's pick and accumulator update. The objective trace, kept
+    untimed, adds each pick's marginal u(cn) - u(cn - inc) over the rows it
+    reached."""
+    warnings = []
+    if cfg.budget > m:
+        warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
+    state = SelectionState(m=m, budget=min(cfg.budget, m))
+    gains, trace, wall_times = [], [], []
+    total = 0.0
+    while len(state.selected) < state.budget:
+        t0 = time.perf_counter()
+        x, g = pick(state)
+        rows, inc = update(state.cn, x)
+        state.selected_mask[x] = True
+        state.selected.append(x)
+        wall_times.append(time.perf_counter() - t0)
+        hit = inc > 0.0  # the scan's inc is dense, zero off the pick's edges
+        after, inc = state.cn[rows][hit], inc[hit]
+        total += float((u(after) - u(after - inc)).sum())
+        gains.append(g)
+        trace.append(total)
+    return SelectionResult(order=list(state.selected), gains=gains, objective_trace=trace,
+                           wall_times=wall_times, config=cfg, warnings=warnings)
 
 
 def select(
@@ -232,97 +303,22 @@ def select(
         raise ConfigError("balanced selection requires labels")
     if labels is not None and labels.m != G.m:
         raise DataError(f"label length {labels.m} != graph size {G.m}")
+    if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
+        raise DataError("exact marginals need every graph row to hold its self-loop")
     u = utility_from_config(cfg)
-    u.validate_shape()
-
-    warnings: list[str] = []
-    s = cfg.budget
-    if s > G.m:
-        warnings.append(f"budget {s} exceeds population {G.m}; clamped to {G.m}")
-        s = G.m
-
-    state = SelectionState(m=G.m, budget=s)
-    gains: list[float] = []
-    trace: list[float] = []
-    wall_times: list[float] = []
-
-    # wall_times cover only the algorithmic pick + accumulator update;
-    # the objective trace is diagnostic bookkeeping and stays untimed.
-    def on_pick(x: int, g: float) -> None:
-        gains.append(g)
-        trace.append(float(u(state.cn).sum()))
-
+    if cfg.rule == "surrogate":
+        gains = _surrogate_gains(C.values, u)
+    else:
+        inc = G.weights.astype(np.float64) * C.values[G.row_ids()]  # w(x, j) C[x] per edge
+        gains = lambda cn, rows: _marginals(cn, G.indices, inc, G.indptr[:-1], u)[rows]  # noqa: E731
     if cfg.balanced:
-        class_members = [
-            np.flatnonzero(labels.values == j) for j in range(labels.class_count)
-        ]
-        while len(state.selected) < s:
-            progressed = False
-            for members in class_members:
-                if len(state.selected) >= s:
-                    break
-                if not np.any(~state.selected_mask[members]):
-                    continue  # class exhausted; keep cycling the others
-                t0 = time.perf_counter()
-                if cfg.rule == "surrogate":
-                    x, g = _argmax_surrogate(state, C, u, members)
-                else:
-                    x, g = _argmax_exact(G, C, state, u, members)
-                state.add(x, G, C)
-                wall_times.append(time.perf_counter() - t0)
-                on_pick(x, g)
-                progressed = True
-            if not progressed:
-                break
-    elif cfg.rule == "surrogate":
-        conf = C.values
-        cn = state.cn
-        mask = state.selected_mask
-        indptr, indices, weights = G.indptr, G.indices, G.weights
-        buf = np.empty(G.m, dtype=np.float64)
-        ucn = np.empty(G.m, dtype=np.float64)
-        perf = time.perf_counter
-        while len(state.selected) < s:
-            t0 = perf()
-            np.add(cn, conf, out=buf)
-            u.into(buf, buf)
-            u.into(cn, ucn)
-            np.subtract(buf, ucn, out=buf)
-            buf[mask] = -np.inf
-            x = int(np.argmax(buf))  # first max: lowest index
-            lo, hi = indptr[x], indptr[x + 1]
-            cn[indices[lo:hi]] += weights[lo:hi].astype(np.float64) * conf[x]
-            mask[x] = True
-            wall_times.append(perf() - t0)
-            state.selected.append(x)
-            gains.append(float(buf[x]))
-            trace.append(float(u(cn).sum()))
-    elif cfg.rule == "exact":
-        while len(state.selected) < s:
-            t0 = time.perf_counter()
-            x, g = _argmax_exact(G, C, state, u)
-            state.add(x, G, C)
-            wall_times.append(time.perf_counter() - t0)
-            on_pick(x, g)
-    else:  # lazy
-        def lazy_pick(x: int, g: float) -> None:
-            state.add(x, G, C)
-            on_pick(x, g)
-
-        t0 = time.perf_counter()
-        _select_lazy(G, C, state, u, s, lazy_pick)
-        wall_times = [(time.perf_counter() - t0) / max(len(state.selected), 1)] * len(
-            state.selected
-        )
-
-    return SelectionResult(
-        order=list(state.selected),
-        gains=gains,
-        objective_trace=trace,
-        wall_times=wall_times,
-        config=cfg,
-        warnings=warnings,
-    )
+        members = (np.flatnonzero(labels.values == j) for j in range(labels.class_count))
+        pick = _best_of(((r, r) for r in members if r.size), gains)  # skip empty classes
+    elif cfg.rule == "lazy":
+        pick = _celf(G, C, u, gains)
+    else:
+        pick = _best_of([(_ALL, range(G.m))], gains)
+    return _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values))
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:
@@ -332,63 +328,13 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
     with a prebuilt graph at the same tau; used by the scaling bench,
     where per-step cost is the quantity under test.
     """
-    from .simgraph import unit_rows
-
     if cfg.rule != "surrogate" or cfg.balanced:
         raise ConfigError("streaming selection supports only the plain surrogate rule")
     if C.m != E.m:
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
-    u.validate_shape()
-
-    warnings: list[str] = []
-    s = cfg.budget
-    if s > E.m:
-        warnings.append(f"budget {s} exceeds population {E.m}; clamped to {E.m}")
-        s = E.m
-
-    U = unit_rows(E)
-    m = E.m
-    tau = cfg.tau
-    conf = C.values
-    cn = np.zeros(m, dtype=np.float64)
-    mask = np.zeros(m, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    trace: list[float] = []
-    wall_times: list[float] = []
-    buf = np.empty(m, dtype=np.float64)
-    ucn = np.empty(m, dtype=np.float64)
-    perf = time.perf_counter
-    while len(order) < s:
-        t0 = perf()
-        np.add(cn, conf, out=buf)
-        u.into(buf, buf)
-        u.into(cn, ucn)
-        np.subtract(buf, ucn, out=buf)
-        buf[mask] = -np.inf
-        x = int(np.argmax(buf))
-        g = float(buf[x])
-        sims = U @ U[x]
-        np.clip(sims, -1.0, 1.0, out=sims)
-        sims[x] = 1.0
-        w = sims.astype(np.float32)  # same quantization as the graph path
-        w64 = w.astype(np.float64)
-        w64[w < tau] = 0.0
-        cn += w64 * conf[x]
-        mask[x] = True
-        wall_times.append(perf() - t0)
-        order.append(x)
-        gains.append(g)
-        trace.append(float(u(cn).sum()))
-    return SelectionResult(
-        order=order,
-        gains=gains,
-        objective_trace=trace,
-        wall_times=wall_times,
-        config=cfg,
-        warnings=warnings,
-    )
+    pick = _best_of([(_ALL, range(E.m))], _surrogate_gains(C.values, u))
+    return _greedy(E.m, cfg, u, pick, _similarity_scan(unit_rows(E), C.values, cfg.tau))
 
 
 @dataclass(frozen=True)
@@ -402,16 +348,9 @@ class SubsetReport:
     noise_ratio: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "size": self.size,
-            "objective": self.objective,
-            "cn_min": self.cn_min,
-            "cn_mean": self.cn_mean,
-            "cn_max": self.cn_max,
-            "coverage": self.coverage,
-        }
-        if self.noise_ratio is not None:
-            d["noise_ratio"] = self.noise_ratio
+        d = asdict(self)
+        if self.noise_ratio is None:
+            del d["noise_ratio"]
         return d
 
 

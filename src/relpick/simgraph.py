@@ -1,13 +1,13 @@
 """Thresholded cosine-similarity neighborhood graph.
 
-The graph is exact: every pair whose cosine similarity (stored as
-float32) reaches the threshold ``tau`` gets an edge, including the
-self-loop with weight exactly 1. Construction is the brute-force
-O(m^2 d) pairwise scan, computed in float64 and blocked over rows so
-large inputs stay within memory; the result is deterministic and
-independent of the block size. Edge membership is decided on the
-float32-rounded similarity so that stored weights always lie in
-[tau, 1].
+The graph is exact: every pair whose cosine similarity, rounded to its
+stored float32 weight, reaches the threshold ``tau`` gets an edge,
+including the self-loop with weight exactly 1 (``edge_threshold`` holds
+this rule for the build and for the streaming scan alike). Construction
+is the brute-force O(m^2 d) pairwise scan, computed in float64 and
+blocked over rows so large inputs stay within memory; the result is
+deterministic and independent of the block size. Stored weights always
+lie in [tau, 1].
 
 Cache file format: 8-byte magic ``RELGRPH1``, u64 m, f64 tau, u64 nnz,
 then (m+1) u64 row offsets, nnz u64 column indices, nnz f32 weights.
@@ -15,6 +15,7 @@ then (m+1) u64 row offsets, nnz u64 column indices, nnz f32 weights.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,12 +48,14 @@ class NeighborGraph:
     def nnz(self) -> int:
         return int(self.indices.size)
 
+    def row_ids(self) -> np.ndarray:
+        """The row of each stored edge, aligned with ``indices``."""
+        return np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
+
     def dense_weights(self) -> np.ndarray:
         """Materialize the m x m weight matrix (small instances only)."""
         W = np.zeros((self.m, self.m), dtype=np.float64)
-        for i in range(self.m):
-            js, ws = self.neighbors(i)
-            W[i, js] = ws.astype(np.float64)
+        W[self.row_ids(), self.indices] = self.weights
         return W
 
     def validate(self) -> None:
@@ -60,12 +63,12 @@ class NeighborGraph:
             raise DataError("graph: malformed row offsets")
         if self.indices.size != self.weights.size or self.indices.size != self.indptr[-1]:
             raise DataError("graph: index/weight arrays inconsistent with offsets")
-        w64 = self.weights.astype(np.float64)
-        if w64.size and (w64.min() < self.tau - 1e-9 or w64.max() > 1.0 + 1e-9):
+        w = self.weights
+        if w.size and (float(w.min()) < self.tau - 1e-9 or float(w.max()) > 1.0 + 1e-9):
             raise DataError("graph: edge weight outside [tau, 1]")
         # Symmetry incl. identical weights: the multiset of (i, j, w) must
         # equal the multiset of (j, i, w).
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
+        rows = self.row_ids()
         fwd = np.lexsort((rows, self.indices))
         key_fwd = self.indices[fwd] * self.m + rows[fwd]
         key_nat = rows * self.m + self.indices
@@ -73,11 +76,10 @@ class NeighborGraph:
             self.weights[fwd], self.weights
         ):
             raise DataError("graph: adjacency is not symmetric")
-        for i in range(self.m):
-            js, ws = self.neighbors(i)
-            pos = np.searchsorted(js, i)
-            if pos >= js.size or js[pos] != i:
-                raise DataError(f"graph: missing self-loop at row {i}")
+        looped = np.zeros(self.m, dtype=bool)
+        looped[rows[self.indices == rows]] = True
+        if not looped.all():
+            raise DataError(f"graph: missing self-loop at row {int(np.argmin(looped))}")
 
 
 def unit_rows(E: EmbeddingMatrix) -> np.ndarray:
@@ -90,10 +92,20 @@ def unit_rows(E: EmbeddingMatrix) -> np.ndarray:
     return data / norms[:, None]
 
 
+def edge_threshold(tau: float) -> np.float32:
+    """The edge rule: a pair is an edge when its float32 weight w has
+    float64(w) >= tau, i.e. when w >= the smallest float32 whose float64
+    value is >= tau, which this returns. Comparing w >= tau directly would
+    round tau to float32 (NumPy 2, NEP 50) and admit weights below tau."""
+    t32 = np.float32(tau)
+    return t32 if float(t32) >= tau else np.nextafter(t32, np.float32(np.inf))
+
+
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
     U = unit_rows(E)
+    t32 = edge_threshold(tau)
     m = U.shape[0]
     counts = np.zeros(m, dtype=np.int64)
     idx_chunks: list[np.ndarray] = []
@@ -105,7 +117,7 @@ def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
         block = np.arange(stop - start)
         sims[block, block + start] = 1.0
         w32 = sims.astype(np.float32)
-        rows, cols = np.nonzero(w32 >= tau)  # row-major: sorted per row
+        rows, cols = np.nonzero(w32 >= t32)  # row-major: sorted per row
         counts[start:stop] = np.bincount(rows, minlength=stop - start)
         idx_chunks.append(cols.astype(np.int64))
         w_chunks.append(w32[rows, cols])
@@ -146,19 +158,17 @@ def save_graph(path: str | Path, G: NeighborGraph) -> None:
 
 
 def load_graph(path: str | Path) -> NeighborGraph:
-    raw = Path(path).read_bytes()
-    if len(raw) < 32 or raw[:8] != GRAPH_MAGIC:
-        raise FormatError(f"{path}: missing or corrupt graph header")
-    m, tau, nnz = struct.unpack("<QdQ", raw[8:32])
-    off = 32
-    need = (m + 1) * 8 + nnz * 8 + nnz * 4
-    if len(raw) - off != need:
-        raise FormatError(f"{path}: payload size mismatch (expected {need} bytes)")
-    indptr = np.frombuffer(raw, dtype="<i8", count=m + 1, offset=off).copy()
-    off += (m + 1) * 8
-    indices = np.frombuffer(raw, dtype="<i8", count=nnz, offset=off).copy()
-    off += nnz * 8
-    weights = np.frombuffer(raw, dtype="<f4", count=nnz, offset=off).copy()
+    with open(path, "rb") as f:
+        head = f.read(32)
+        if len(head) < 32 or head[:8] != GRAPH_MAGIC:
+            raise FormatError(f"{path}: missing or corrupt graph header")
+        m, tau, nnz = struct.unpack("<QdQ", head[8:32])
+        need = (m + 1) * 8 + nnz * 8 + nnz * 4
+        if os.fstat(f.fileno()).st_size - 32 != need:
+            raise FormatError(f"{path}: payload size mismatch (expected {need} bytes)")
+        indptr = np.fromfile(f, dtype="<i8", count=m + 1)
+        indices = np.fromfile(f, dtype="<i8", count=nnz)
+        weights = np.fromfile(f, dtype="<f4", count=nnz)
     G = NeighborGraph(m=m, tau=tau, indptr=indptr, indices=indices, weights=weights)
     G.validate()
     return G

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from relpick import ConfidenceVector, EmbeddingMatrix, build_graph
+from relpick.simgraph import unit_rows
 
 
 @pytest.fixture
@@ -26,3 +29,20 @@ def random_unit_rows(rng, m, d):
     rows = rng.standard_normal((m, d))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return EmbeddingMatrix(rows.astype(np.float32))
+
+
+def boundary_pair(tau):
+    """Two rows whose cosine is below tau but rounds to float32(tau)."""
+    t32 = np.float32(tau)
+    assert float(t32) < tau, "no float32 weight below tau rounds to float32(tau)"
+    # rows e1 and (1, t) have cos = 1 / sqrt(1 + t^2); step t one float32
+    # ulp at a time until the cosine lands just below tau
+    t = np.float32(math.sqrt(1.0 / float(t32) ** 2 - 1.0))
+    for _ in range(64):
+        E = EmbeddingMatrix(np.array([[1.0, 0.0], [1.0, t]], dtype=np.float32))
+        U = unit_rows(E)
+        cos = float((U @ U.T)[0, 1])
+        if cos < tau and np.float32(cos) == t32:
+            return E
+        t = np.nextafter(t, np.float32(np.inf if cos >= tau else -np.inf))
+    raise AssertionError(f"no float32 boundary pair found for tau={tau!r}")

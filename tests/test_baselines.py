@@ -74,6 +74,8 @@ class TestKCenter:
         E = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
         order, _ = select_kcenter(E, 2, seed_index=0)
         assert list(order) == [0, 1]
+        assert covering_radius(E, order[:1]) == pytest.approx(np.sqrt(2.0))
+        assert covering_radius(E, order) == 0.0
 
     def test_budget_one_returns_seed(self):
         E = EmbeddingMatrix(np.eye(3))

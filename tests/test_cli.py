@@ -6,6 +6,8 @@ import pytest
 from relpick.cli import main
 from relpick.dataspec import write_matrix_binary, write_vector_text
 
+from conftest import boundary_pair
+
 
 @pytest.fixture
 def fixture_files(tmp_path):
@@ -117,6 +119,28 @@ class TestSelectCommand:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["order"] == [0, 1]
+
+    def test_graph_cache_tau_is_used_and_recorded(self, fixture_files, capsys):
+        tmp, emb, conf = fixture_files
+        cache = tmp / "g.bin"
+        main(["graph", "--embeddings", emb, "--tau", "0.3", "--out", str(cache)])
+        capsys.readouterr()
+        argv = ["select", "--embeddings", emb, "--graph", str(cache), "--confidences", conf,
+                "--budget", "2"]
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["tau"] == 0.3
+        assert "seed" not in config
+        assert main(argv + ["--tau", "0.95"]) == 2
+
+    def test_cache_of_float32_boundary_pair_loads(self, tmp_path, capsys):
+        emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"
+        write_matrix_binary(emb, boundary_pair(0.9).data)
+        write_vector_text(conf, np.array([0.9, 0.5]))
+        assert main(["graph", "--embeddings", str(emb), "--tau", "0.9", "--out", str(cache)]) == 0
+        rc = main(["select", "--embeddings", str(emb), "--graph", str(cache),
+                   "--confidences", str(conf), "--budget", "1"])
+        assert rc == 0
 
 
 class TestOracleCommand:

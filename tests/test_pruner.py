@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from relpick import (
     select,
     surrogate_gain,
 )
-from relpick import NoiseFlagVector, LabelVector
-from relpick.pruner import recompute_cn
+from relpick import NoiseFlagVector, LabelVector, NeighborGraph
+from relpick.pruner import recompute_cn, select_streaming
 from relpick import oracle
 
-from conftest import random_unit_rows
+from conftest import boundary_pair, random_unit_rows
 
 
 def make_state(G, C, S=()):
@@ -30,6 +31,34 @@ def make_state(G, C, S=()):
     for x in S:
         st.add(x, G, C)
     return st
+
+
+def reference_greedy(G, C, labels, budget, rule, u):
+    """Greedy from scratch: every step rebuilds the accumulator with
+    recompute_cn and every candidate's gain from it, keeping no
+    incremental state. Balanced runs cycle over the label classes."""
+    if labels is None:
+        groups = [list(range(G.m))]
+    else:
+        groups = [[x for x in range(G.m) if labels.values[x] == j]
+                  for j in range(labels.class_count)]
+    order = []
+    turn = 0
+    while len(order) < budget:
+        cand = [x for x in groups[turn % len(groups)] if x not in order]
+        turn += 1
+        if not cand:
+            continue
+        cn = recompute_cn(G, C, order)
+
+        def gain(x):
+            if rule == "surrogate":
+                return float(u(cn[x] + C.values[x]) - u(cn[x]))
+            js, ws = G.neighbors(x)
+            return float(np.sum(u(cn[js] + ws.astype(np.float64) * C.values[x]) - u(cn[js])))
+
+        order.append(max(cand, key=gain))  # first maximum: lowest index
+    return order
 
 
 class TestUtility:
@@ -61,6 +90,13 @@ class TestUtility:
     def test_piecewise_decreasing_rejected(self):
         with pytest.raises(ConfigError):
             Utility.piecewise([(0, 0), (1, 1.0), (2, 0.5)])
+
+    def test_one_argument_fn(self, identical2):
+        _, C, G = identical2
+        u = Utility("half", lambda z: 0.5 * z)
+        u.validate_shape()
+        assert objective(G, C, [0], u) == pytest.approx(0.5, abs=1e-12)
+        assert exact_gain(G, C, make_state(G, C), 0, u) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestObjective:
@@ -126,6 +162,12 @@ class TestGains:
         _, C, G = identical2
         st = make_state(G, C)
         assert exact_gain(G, C, st, 0, Utility.identity()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_exact_gain_of_row_without_edges_is_zero(self):
+        G = NeighborGraph(m=2, tau=0.5, indptr=np.array([0, 0, 1]),
+                          indices=np.array([1]), weights=np.array([1.0], dtype=np.float32))
+        C = ConfidenceVector([0.9, 0.4])
+        assert exact_gain(G, C, make_state(G, C), 0, Utility.tanh()) == 0.0
 
     def test_exact_gain_matches_objective_marginal(self):
         rng = np.random.default_rng(21)
@@ -196,6 +238,34 @@ class TestSelect:
             a = select(G, C, None, SelectionConfig(budget=12, tau=0.6, rule="exact"))
             b = select(G, C, None, SelectionConfig(budget=12, tau=0.6, rule="lazy"))
             assert a.order == b.order
+            assert a.gains == b.gains  # refreshes and the vectorized pass agree bit for bit
+
+    @pytest.mark.parametrize("rule,balanced", [
+        ("surrogate", False), ("exact", False), ("surrogate", True), ("exact", True),
+    ])
+    def test_matches_from_scratch_reference(self, rule, balanced):
+        u = Utility.tanh()
+        for seed in range(30):
+            rng = np.random.default_rng(60_000 + seed)
+            m = int(rng.integers(10, 60))
+            E, C, labels, _ = oracle.random_instance(seed, m=m, d=6, c=3, cluster_spread=0.3,
+                                                     noise_fraction=0.2)
+            G = build_graph(E, 0.6)
+            budget = int(rng.integers(1, m + 1))
+            labels = labels if balanced else None
+            cfg = SelectionConfig(budget=budget, tau=0.6, rule=rule, balanced=balanced)
+            assert select(G, C, labels, cfg).order == reference_greedy(G, C, labels, budget,
+                                                                       rule, u)
+
+    def test_lazy_wall_times_are_per_pick(self):
+        E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        t0 = time.perf_counter()
+        r = select(G, C, None, SelectionConfig(budget=40, tau=0.6, rule="lazy"))
+        elapsed = time.perf_counter() - t0
+        assert len(r.wall_times) == len(r.order) == 40
+        assert len(set(r.wall_times)) > 1  # measured per pick, not one average repeated
+        assert sum(r.wall_times) <= elapsed
 
     def test_budget_clamped_with_warning(self, orthogonal3):
         _, C, G = orthogonal3
@@ -224,6 +294,15 @@ class TestSelect:
         r = select(G, C, labels, SelectionConfig(budget=4, tau=0.5, balanced=True))
         assert len(r.order) == 4
 
+    @pytest.mark.parametrize("rule", ["surrogate", "exact"])
+    def test_balanced_skips_empty_class(self, rule):
+        E = EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        C = ConfidenceVector([0.9, 0.8, 0.7, 0.6])
+        labels = LabelVector(np.array([0, 0, 2, 2]), class_count=3)  # class 1 is empty
+        G = build_graph(E, 0.5)
+        cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
+        assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
+
     def test_objective_trace_non_decreasing(self):
         E, C, _, _ = oracle.random_instance(5, m=50, d=6, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
@@ -240,17 +319,20 @@ class TestSelect:
             np.testing.assert_allclose(st.cn, recompute_cn(G, C, st.selected), atol=1e-9)
 
     def test_streaming_matches_graph_surrogate(self):
-        from relpick.pruner import select_streaming
-
         for seed in range(8):
             E, C, _, _ = oracle.random_instance(seed, m=100, d=8, c=5, cluster_spread=0.3)
             G = build_graph(E, 0.7)
             cfg = SelectionConfig(budget=30, tau=0.7, rule="surrogate")
             assert select_streaming(E, C, cfg).order == select(G, C, None, cfg).order
 
-    def test_streaming_rejects_other_rules(self):
-        from relpick.pruner import select_streaming
+    def test_streaming_follows_edge_rule_at_float32_boundary(self):
+        E = boundary_pair(0.9)
+        C = ConfidenceVector([0.9, 0.5])
+        r = select_streaming(E, C, SelectionConfig(budget=1, tau=0.9, utility="identity"))
+        naive = oracle.naive_objective(E, C, 0.9, r.order, lambda z: z)
+        assert r.objective_trace == [pytest.approx(naive, abs=1e-12)]
 
+    def test_streaming_rejects_other_rules(self):
         E, C, _, _ = oracle.random_instance(0, m=10, d=4, c=2)
         with pytest.raises(ConfigError):
             select_streaming(E, C, SelectionConfig(budget=2, rule="exact"))

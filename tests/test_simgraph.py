@@ -5,9 +5,9 @@ import pytest
 
 from relpick import ConfigError, DataError, EmbeddingMatrix, build_graph, degree_stats
 from relpick.errors import FormatError
-from relpick.simgraph import load_graph, save_graph, unit_rows
+from relpick.simgraph import NeighborGraph, edge_threshold, load_graph, save_graph, unit_rows
 
-from conftest import random_unit_rows
+from conftest import boundary_pair, random_unit_rows
 
 
 def edge_set(G):
@@ -85,6 +85,18 @@ class TestBuildGraph:
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("tau", [0.9, 0.975, 0.3, 1.0, 0.1 + 0.2])
+    def test_edge_threshold_is_smallest_float32_at_or_above_tau(self, tau):
+        t32 = edge_threshold(tau)
+        assert t32.dtype == np.float32
+        assert float(t32) >= tau
+        assert float(np.nextafter(t32, np.float32(-np.inf))) < tau
+
+    def test_float32_boundary_pair_has_no_cross_edge(self):
+        # cos < tau, but cos rounds to float32(tau): below tau, so no edge
+        G = build_graph(boundary_pair(0.9), 0.9)
+        assert edge_set(G) == {(0, 0, 1.0), (1, 1, 1.0)}
+
     def test_weights_within_bounds(self):
         rng = np.random.default_rng(14)
         E = random_unit_rows(rng, 50, 8)
@@ -123,6 +135,25 @@ class TestGraphCache:
         assert np.array_equal(back.indptr, G.indptr)
         assert np.array_equal(back.indices, G.indices)
         assert np.array_equal(back.weights.view(np.uint32), G.weights.view(np.uint32))
+
+    def test_boundary_pair_round_trip(self, tmp_path):
+        G = build_graph(boundary_pair(0.9), 0.9)
+        p = tmp_path / "g.bin"
+        save_graph(p, G)
+        assert load_graph(p).nnz == G.nnz
+
+    def test_missing_self_loop_rejected(self, tmp_path):
+        rng = np.random.default_rng(17)
+        G = build_graph(random_unit_rows(rng, 10, 3), 0.3)
+        pos = G.indptr[4] + int(np.searchsorted(G.neighbors(4)[0], 4))
+        indptr = G.indptr.copy()
+        indptr[5:] -= 1
+        cut = NeighborGraph(m=G.m, tau=G.tau, indptr=indptr,
+                            indices=np.delete(G.indices, pos), weights=np.delete(G.weights, pos))
+        p = tmp_path / "g.bin"
+        save_graph(p, cut)
+        with pytest.raises(DataError, match="self-loop at row 4"):
+            load_graph(p)
 
     def test_corrupt_header_rejected(self, tmp_path):
         p = tmp_path / "g.bin"
