@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .dataspec import ConfidenceVector, EmbeddingMatrix, ProbabilityMatrix
+from .errors import DataError
+from .dataspec import ConfidenceVector, EmbeddingMatrix, ProbabilityMatrix, confidence_from_probs
 
 
 def _check_budget(s: int, m: int) -> None:
@@ -38,12 +38,10 @@ def select_small_loss(C: ConfidenceVector, s: int) -> np.ndarray:
 
 
 def select_margin(P: ProbabilityMatrix, s: int) -> np.ndarray:
-    """The s examples with the smallest top-1/top-2 probability gap."""
-    if P.c < 2:
-        raise ConfigError("margin selection needs at least 2 classes")
+    """The s examples with the smallest top-1/top-2 probability gap, the
+    ``diffprob`` confidence; ties break toward the lowest index."""
+    margin = confidence_from_probs(P, "diffprob").values
     _check_budget(s, P.m)
-    top2 = np.sort(P.data, axis=1)[:, -2:]
-    margin = top2[:, 1] - top2[:, 0]
     order = np.argsort(margin, kind="stable")
     return np.sort(order[:s]).astype(np.int64)
 

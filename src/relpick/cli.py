@@ -20,8 +20,7 @@ from .dataspec import (
     ingest_embeddings,
     load_confidences,
     load_labels,
-    read_matrix_binary,
-    read_matrix_csv,
+    read_matrix,
 )
 from .errors import ConfigError, RelpickError
 
@@ -30,24 +29,20 @@ DEFAULT_TAU = 0.975
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--embeddings", required=True, help="embedding matrix file")
-    p.add_argument("--format", choices=("binary", "csv"), default="binary")
+    p.add_argument("--embeddings", required=True, help="embedding matrix file (binary or CSV)")
     p.add_argument("--average-groups", type=int, default=None,
                    help="mean-reduce groups of K consecutive rows, then unit-normalize")
 
 
 def _load_embeddings(args):
-    return ingest_embeddings(args.embeddings, format=args.format,
-                             average_groups=args.average_groups)
+    return ingest_embeddings(args.embeddings, average_groups=args.average_groups)
 
 
 def _load_confidence(args, m: int) -> ConfidenceVector:
     if args.confidences:
         C = load_confidences(args.confidences)
     else:
-        fmt = "binary" if args.probs.endswith(".bin") else "csv"
-        data = read_matrix_binary(args.probs) if fmt == "binary" else read_matrix_csv(args.probs)
-        C = confidence_from_probs(ProbabilityMatrix(data), metric=args.metric)
+        C = confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)), metric=args.metric)
     if C.m != m:
         raise ConfigError(f"confidence length {C.m} does not match {m} examples")
     return C
@@ -79,15 +74,12 @@ def cmd_select(args) -> int:
             raise ConfigError(f"graph size {G.m} does not match {E.m} embeddings")
         if args.tau is not None and args.tau != G.tau:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
-        tau = G.tau
     else:
-        tau = DEFAULT_TAU if args.tau is None else args.tau
-        G = simgraph.build_graph(E, tau)
+        G = simgraph.build_graph(E, DEFAULT_TAU if args.tau is None else args.tau)
     C = _load_confidence(args, E.m)
     labels = load_labels(args.labels) if args.labels else None
     cfg = SelectionConfig(
         budget=args.budget,
-        tau=tau,
         utility=args.utility,
         rule=args.rule,
         balanced=args.balanced,
@@ -184,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("surrogate", "exact", "lazy"), default="surrogate")
     p.add_argument("--utility", choices=("tanh", "identity"), default="tanh")
     p.add_argument("--balanced", action="store_true")
-    p.add_argument("--labels", help="label file (one class id per line)")
+    p.add_argument("--labels", help="label vector file (binary, or one class id per line)")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--confidences", help="confidence file (one value per line)")
-    src.add_argument("--probs", help="softmax matrix file (.bin or .csv)")
+    src.add_argument("--confidences", help="confidence vector file (binary, or one value per line)")
+    src.add_argument("--probs", help="softmax matrix file (binary or CSV)")
     p.add_argument("--metric", choices=("maxprob", "diffprob"), default="maxprob")
     p.add_argument("--out", help="result JSON path (default: stdout)")
     p.set_defaults(func=cmd_select)

@@ -6,7 +6,10 @@ threads.
 
 Binary matrix format: 8-byte magic ``RELPICK1``, then u64 row count,
 u64 column count, then rows*cols little-endian float32 values row-major.
-Vectors reuse the same container with a single column.
+Vectors reuse the same container with a single column. Readers pick the
+format from the file itself: a file that starts with the magic is binary,
+any other is text, one comma-separated row per line (one value per line
+for a vector).
 """
 
 from __future__ import annotations
@@ -244,59 +247,61 @@ def write_matrix_binary(path: str | Path, data: np.ndarray) -> None:
         f.write(a.tobytes())
 
 
-def read_matrix_binary(path: str | Path) -> np.ndarray:
+def read_matrix(path: str | Path) -> np.ndarray:
+    """An m x d float32 matrix: the binary container when the file starts
+    with the magic, else text with one comma-separated row per line."""
+    return _read(path).astype(np.float32, copy=False)
+
+
+def read_vector(path: str | Path) -> np.ndarray:
+    """A float64 vector: a one-column binary container or text matrix."""
+    a = _read(path)
+    if a.shape[1] != 1:
+        raise FormatError(f"{path}: expected a single-column vector, got {a.shape[1]} columns")
+    return a[:, 0].astype(np.float64)
+
+
+def _read(path: str | Path) -> np.ndarray:
+    """float32 from a binary container, float64 from text."""
     with open(path, "rb") as f:
-        head = f.read(24)
-        if len(head) < 24 or head[:8] != MATRIX_MAGIC:
-            raise FormatError(f"{path}: missing or corrupt matrix header")
-        m, d = struct.unpack("<QQ", head[8:24])
-        size = os.fstat(f.fileno()).st_size - 24
-        expected = m * d * 4
-        if size != expected:
-            raise FormatError(
-                f"{path}: header says {m}x{d} ({expected} payload bytes) but file has {size}"
-            )
-        return np.fromfile(f, dtype="<f4", count=m * d).reshape(m, d)
-
-
-def read_matrix_csv(path: str | Path) -> np.ndarray:
-    rows = []
-    width = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as e:
-                raise FormatError(f"{path}:{lineno}: {e}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+        if f.read(8) == MATRIX_MAGIC:
+            head = f.read(16)
+            if len(head) < 16:
+                raise FormatError(f"{path}: missing or corrupt matrix header")
+            m, d = struct.unpack("<QQ", head)
+            size = os.fstat(f.fileno()).st_size - 24
+            expected = m * d * 4
+            if size != expected:
                 raise FormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
+                    f"{path}: header says {m}x{d} ({expected} payload bytes) but file has {size}"
                 )
-            rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: empty CSV matrix")
-    return np.asarray(rows, dtype=np.float32)
+            return np.fromfile(f, dtype="<f4", count=m * d).reshape(m, d)
+    return _read_text(path)
 
 
-def read_vector_text(path: str | Path) -> np.ndarray:
-    values = []
-    with open(path) as f:
+def _read_text(path: str | Path) -> np.ndarray:
+    # Undecodable bytes become U+FFFD, which float() rejects at their line.
+    flat: list[float] = []
+    width = None
+    with open(path, encoding="utf-8", errors="replace") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
+            tokens = line.split(",")
+            if width is None:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {width} columns, got {len(tokens)}"
+                )
             try:
-                values.append(float(line))
+                flat.extend(map(float, tokens))
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from None
-    if not values:
-        raise FormatError(f"{path}: empty vector file")
-    return np.asarray(values, dtype=np.float64)
+    if width is None:
+        raise FormatError(f"{path}: empty text file")
+    return np.array(flat, dtype=np.float64).reshape(-1, width)
 
 
 def write_vector_text(path: str | Path, values: np.ndarray) -> None:
@@ -307,13 +312,6 @@ def write_vector_text(path: str | Path, values: np.ndarray) -> None:
 
 def write_vector_binary(path: str | Path, values: np.ndarray) -> None:
     write_matrix_binary(path, np.asarray(values, dtype=np.float32).reshape(-1, 1))
-
-
-def read_vector_binary(path: str | Path) -> np.ndarray:
-    a = read_matrix_binary(path)
-    if a.shape[1] != 1:
-        raise FormatError(f"{path}: expected a single-column vector, got {a.shape[1]} columns")
-    return a[:, 0].astype(np.float64)
 
 
 def _mean_rows(data: np.ndarray, k: int) -> np.ndarray:
@@ -328,50 +326,33 @@ def _mean_rows(data: np.ndarray, k: int) -> np.ndarray:
     return (grouped / norms[:, None]).astype(np.float32)
 
 
-def ingest_embeddings(
-    path: str | Path,
-    format: str = "binary",
-    average_groups: int | None = None,
-) -> EmbeddingMatrix:
+def ingest_embeddings(path: str | Path, average_groups: int | None = None) -> EmbeddingMatrix:
     """Load an embedding matrix, optionally mean-reducing groups of
     ``average_groups`` consecutive rows (one group per example, e.g.
     multiple augmentation embeddings) and unit-normalizing the result.
     """
-    if format == "binary":
-        data = read_matrix_binary(path)
-    elif format == "csv":
-        data = read_matrix_csv(path)
-    else:
-        raise ConfigError(f"unknown embedding format {format!r}")
-    if not np.isfinite(data).all():
-        raise DataError(f"{path}: embedding file contains non-finite values")
-    if average_groups is not None:
-        if average_groups < 1:
-            raise ConfigError("average_groups must be >= 1")
-        data = _mean_rows(data, average_groups)
-        return EmbeddingMatrix(data, normalized=True)
-    return EmbeddingMatrix(data, normalized=False)
+    E = EmbeddingMatrix(read_matrix(path))
+    if average_groups is None:
+        return E
+    if average_groups < 1:
+        raise ConfigError("average_groups must be >= 1")
+    return EmbeddingMatrix(_mean_rows(E.data, average_groups), normalized=True)
 
 
-def load_confidences(path: str | Path, format: str = "text") -> ConfidenceVector:
-    if format == "text":
-        return ConfidenceVector(read_vector_text(path))
-    if format == "binary":
-        return ConfidenceVector(read_vector_binary(path))
-    raise ConfigError(f"unknown vector format {format!r}")
+def load_confidences(path: str | Path) -> ConfidenceVector:
+    return ConfidenceVector(read_vector(path))
 
 
-def load_labels(path: str | Path, class_count: int | None = None) -> LabelVector:
-    raw = read_vector_text(path)
+def load_labels(path: str | Path) -> LabelVector:
+    raw = read_vector(path)
     ids = raw.astype(np.int64)
     if np.any(ids != raw):
         raise DataError(f"{path}: labels must be integers")
-    c = class_count if class_count is not None else int(ids.max()) + 1
-    return LabelVector(ids, class_count=c)
+    return LabelVector(ids, class_count=int(ids.max()) + 1)
 
 
 def load_noise_flags(path: str | Path) -> NoiseFlagVector:
-    raw = read_vector_text(path)
+    raw = read_vector(path)
     if not np.isin(raw, (0.0, 1.0)).all():
         raise DataError(f"{path}: noise flags must be 0 or 1")
     return NoiseFlagVector(raw.astype(bool))

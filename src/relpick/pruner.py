@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -305,6 +305,7 @@ def select(
         raise DataError(f"label length {labels.m} != graph size {G.m}")
     if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
         raise DataError("exact marginals need every graph row to hold its self-loop")
+    cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
     u = utility_from_config(cfg)
     if cfg.rule == "surrogate":
         gains = _surrogate_gains(C.values, u)

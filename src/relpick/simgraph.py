@@ -59,27 +59,35 @@ class NeighborGraph:
         return W
 
     def validate(self) -> None:
+        """Accept exactly what ``build_graph`` writes."""
         if self.indptr.shape != (self.m + 1,) or self.indptr[0] != 0:
             raise DataError("graph: malformed row offsets")
+        if np.any(np.diff(self.indptr) < 0):
+            raise DataError("graph: row offsets decrease")
         if self.indices.size != self.weights.size or self.indices.size != self.indptr[-1]:
             raise DataError("graph: index/weight arrays inconsistent with offsets")
+        if not (0.0 < self.tau <= 1.0):
+            raise DataError(f"graph: tau {self.tau} outside (0, 1]")
+        if self.nnz and (self.indices.min() < 0 or self.indices.max() >= self.m):
+            raise DataError(f"graph: column id outside [0, {self.m})")
         w = self.weights
-        if w.size and (float(w.min()) < self.tau - 1e-9 or float(w.max()) > 1.0 + 1e-9):
+        if w.size and (w.min() < edge_threshold(self.tau) or w.max() > 1.0):
             raise DataError("graph: edge weight outside [tau, 1]")
-        # Symmetry incl. identical weights: the multiset of (i, j, w) must
-        # equal the multiset of (j, i, w).
         rows = self.row_ids()
-        fwd = np.lexsort((rows, self.indices))
-        key_fwd = self.indices[fwd] * self.m + rows[fwd]
-        key_nat = rows * self.m + self.indices
-        if not np.array_equal(key_fwd, key_nat) or not np.array_equal(
-            self.weights[fwd], self.weights
-        ):
-            raise DataError("graph: adjacency is not symmetric")
         looped = np.zeros(self.m, dtype=bool)
         looped[rows[self.indices == rows]] = True
         if not looped.all():
             raise DataError(f"graph: missing self-loop at row {int(np.argmin(looped))}")
+        key = rows * self.m + self.indices
+        if (key[1:] <= key[:-1]).any():
+            raise DataError("graph: column ids not strictly increasing within a row")
+        # Symmetry incl. identical weights: with unique keys, the transposed
+        # keys sorted must reproduce the keys, carrying equal weights along.
+        key_t = self.indices * self.m + rows
+        del rows  # at most four edge-length int64 arrays live at once
+        fwd = np.argsort(key_t)
+        if not np.array_equal(key_t[fwd], key) or not np.array_equal(w[fwd], w):
+            raise DataError("graph: adjacency is not symmetric")
 
 
 def unit_rows(E: EmbeddingMatrix) -> np.ndarray:

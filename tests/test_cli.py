@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relpick.cli import main
-from relpick.dataspec import write_matrix_binary, write_vector_text
+from relpick.dataspec import write_matrix_binary, write_vector_binary, write_vector_text
 
 from conftest import boundary_pair
 
@@ -107,6 +107,40 @@ class TestSelectCommand:
         assert rc == 0
         result = json.loads(capsys.readouterr().out)
         assert result["order"] == [2]  # largest top-2 gap
+
+    def test_inputs_recognized_by_content(self, fixture_files, capsys):
+        tmp, emb, conf = fixture_files
+        csv, conf_bin = tmp / "e.csv", tmp / "c.bin"
+        csv.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        write_vector_binary(conf_bin, np.array([0.9, 0.5, 0.1]))
+        orders = []
+        for e, c in ((emb, conf), (str(csv), conf), (emb, str(conf_bin))):
+            assert main(["select", "--embeddings", e, "--confidences", c,
+                         "--budget", "2", "--tau", "0.5"]) == 0
+            orders.append(json.loads(capsys.readouterr().out)["order"])
+        assert orders == [[0, 1]] * 3
+
+    @pytest.mark.parametrize("flag", ["--embeddings", "--confidences", "--labels", "--probs"])
+    def test_undecodable_text_exits_3(self, fixture_files, flag):
+        tmp, emb, conf = fixture_files
+        labels, bad = tmp / "y.txt", tmp / "bad.txt"
+        labels.write_text("0\n1\n0\n")
+        bad.write_bytes(b"0.5\n\xff\xfe\x00\x81\n0.5\n")
+        inputs = {"--embeddings": emb, "--confidences": conf, "--labels": str(labels)}
+        if flag == "--probs":
+            del inputs["--confidences"]  # the two are mutually exclusive
+        inputs[flag] = str(bad)
+        argv = ["select", "--budget", "1", "--tau", "0.5"]
+        for name, path in inputs.items():
+            argv += [name, path]
+        assert main(argv) == 3
+
+    def test_format_flag_is_gone(self, fixture_files):
+        _, emb, conf = fixture_files
+        with pytest.raises(SystemExit) as exit_:
+            main(["select", "--embeddings", emb, "--confidences", conf, "--budget", "1",
+                  "--format", "csv"])
+        assert exit_.value.code == 2
 
     def test_graph_cache_roundtrip(self, fixture_files, capsys):
         tmp, emb, conf = fixture_files

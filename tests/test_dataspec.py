@@ -18,8 +18,8 @@ from relpick import (
     ingest_embeddings,
 )
 from relpick.dataspec import (
-    read_matrix_binary,
-    read_vector_binary,
+    read_matrix,
+    read_vector,
     write_matrix_binary,
     write_vector_binary,
     MATRIX_MAGIC,
@@ -30,14 +30,14 @@ class TestIngest:
     def test_csv_identity_rows(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1,0\n0,1\n")
-        E = ingest_embeddings(p, format="csv")
+        E = ingest_embeddings(p)
         assert E.m == 2 and E.d == 2
         np.testing.assert_array_equal(E.data, np.eye(2, dtype=np.float32))
 
     def test_average_groups_of_two(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1,0\n0,1\n")
-        E = ingest_embeddings(p, format="csv", average_groups=2)
+        E = ingest_embeddings(p, average_groups=2)
         assert E.m == 1
         r = math.sqrt(2) / 2
         np.testing.assert_allclose(E.data[0], [r, r], rtol=1e-6)
@@ -48,7 +48,7 @@ class TestIngest:
         rows = rng.standard_normal((4, 3)).astype(np.float32)
         p = tmp_path / "e.bin"
         write_matrix_binary(p, rows)
-        E = ingest_embeddings(p, format="binary", average_groups=1)
+        E = ingest_embeddings(p, average_groups=1)
         expected = rows / np.linalg.norm(rows.astype(np.float64), axis=1, keepdims=True)
         np.testing.assert_allclose(E.data, expected, atol=1e-6)
 
@@ -57,19 +57,19 @@ class TestIngest:
         payload = np.arange(10, dtype="<f4").tobytes()
         p.write_bytes(MATRIX_MAGIC + (3).to_bytes(8, "little") + (4).to_bytes(8, "little") + payload)
         with pytest.raises(FormatError):
-            ingest_embeddings(p, format="binary")
+            ingest_embeddings(p)
 
     def test_indivisible_group_size(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1,0\n0,1\n1,1\n")
         with pytest.raises(DataError):
-            ingest_embeddings(p, format="csv", average_groups=2)
+            ingest_embeddings(p, average_groups=2)
 
     def test_zero_row_after_averaging(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("1,0\n-1,0\n")
         with pytest.raises(DataError):
-            ingest_embeddings(p, format="csv", average_groups=2)
+            ingest_embeddings(p, average_groups=2)
 
 
 class TestBinaryRoundTrip:
@@ -78,7 +78,7 @@ class TestBinaryRoundTrip:
         data = rng.standard_normal((13, 5)).astype(np.float32)
         p = tmp_path / "m.bin"
         write_matrix_binary(p, data)
-        back = read_matrix_binary(p)
+        back = read_matrix(p)
         assert back.dtype == np.float32
         assert np.array_equal(back.view(np.uint32), data.view(np.uint32))
 
@@ -87,8 +87,22 @@ class TestBinaryRoundTrip:
         v = rng.uniform(0, 1, 17).astype(np.float32)
         p = tmp_path / "c.bin"
         write_vector_binary(p, v)
-        back = read_vector_binary(p).astype(np.float32)
+        back = read_vector(p).astype(np.float32)
         assert np.array_equal(back.view(np.uint32), v.view(np.uint32))
+
+
+class TestReaders:
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"0.5\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"c\.txt:2:"):
+            read_vector(p)
+
+    def test_vector_needs_one_column(self, tmp_path):
+        p = tmp_path / "m.bin"
+        write_matrix_binary(p, np.eye(2, dtype=np.float32))
+        with pytest.raises(FormatError, match="single-column"):
+            read_vector(p)
 
 
 class TestConfidenceFromProbs:

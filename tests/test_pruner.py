@@ -225,6 +225,11 @@ class TestSelect:
             r = select(G, C, None, SelectionConfig(budget=1, tau=0.6, rule="surrogate"))
             assert r.order[0] == int(np.argmax(C.values))
 
+    def test_config_records_the_graph_tau(self):
+        E, C, _, _ = oracle.random_instance(0, m=40, d=6, c=4, cluster_spread=0.3)
+        r = select(build_graph(E, 0.6), C, None, SelectionConfig(budget=5))
+        assert r.config.tau == 0.6
+
     def test_identical_pair_trace(self, identical2):
         _, C, G = identical2
         r = select(G, C, None, SelectionConfig(budget=2, tau=0.9, utility="identity", rule="exact"))

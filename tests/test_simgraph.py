@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,6 +154,33 @@ class TestGraphCache:
         p = tmp_path / "g.bin"
         save_graph(p, cut)
         with pytest.raises(DataError, match="self-loop at row 4"):
+            load_graph(p)
+
+    def test_decreasing_offsets_rejected(self, tmp_path):
+        G = build_graph(random_unit_rows(np.random.default_rng(18), 6, 3), 0.3)
+        indptr = G.indptr.copy()
+        indptr[[2, 3]] = indptr[[3, 2]]
+        p = tmp_path / "g.bin"
+        save_graph(p, replace(G, indptr=indptr))
+        with pytest.raises(DataError, match="offsets decrease"):
+            load_graph(p)
+
+    def test_duplicated_self_loop_rejected(self, tmp_path):
+        G = build_graph(random_unit_rows(np.random.default_rng(19), 6, 3), 0.3)
+        pos = G.indptr[4] + int(np.searchsorted(G.neighbors(4)[0], 4))
+        indptr = G.indptr.copy()
+        indptr[5:] += 1
+        p = tmp_path / "g.bin"
+        save_graph(p, replace(G, indptr=indptr, indices=np.insert(G.indices, pos, 4),
+                              weights=np.insert(G.weights, pos, np.float32(1.0))))
+        with pytest.raises(DataError, match="strictly increasing"):
+            load_graph(p)
+
+    def test_tau_outside_unit_interval_rejected(self, tmp_path):
+        G = build_graph(random_unit_rows(np.random.default_rng(20), 6, 3), 0.3)
+        p = tmp_path / "g.bin"
+        save_graph(p, replace(G, tau=float("nan")))
+        with pytest.raises(DataError, match="tau"):
             load_graph(p)
 
     def test_corrupt_header_rejected(self, tmp_path):
