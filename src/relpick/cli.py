@@ -1,7 +1,8 @@
 """Command-line surface: graph building, selection, oracle checks, and
 the scaling bench.
 
-Exit codes: 0 success, 2 usage/config, 3 data/format, 4 size guard.
+Exit codes: 0 success, 2 usage/config, 3 data/format (including a file
+that cannot be read or written), 4 size guard.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .dataspec import (
     load_labels,
     read_matrix,
 )
-from .errors import ConfigError, RelpickError
+from .errors import ConfigError, DataError, FormatError, RelpickError
 
 BENCH_MIN_M = 512
 DEFAULT_TAU = 0.975
@@ -32,6 +33,15 @@ def _add_embedding_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--embeddings", required=True, help="embedding matrix file (binary or CSV)")
     p.add_argument("--average-groups", type=int, default=None,
                    help="mean-reduce groups of K consecutive rows, then unit-normalize")
+
+
+def _add_selection_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--budget", type=int, required=True)
+    src = p.add_mutually_exclusive_group(required=True)
+    src.add_argument("--confidences", help="confidence vector file (binary, or one value per line)")
+    src.add_argument("--probs", help="softmax matrix file (binary or CSV)")
+    p.add_argument("--metric", choices=("maxprob", "diffprob"), default="maxprob")
+    p.add_argument("--utility", choices=tuple(pruner.UTILITIES), default="tanh")
 
 
 def _load_embeddings(args):
@@ -46,6 +56,14 @@ def _load_confidence(args, m: int) -> ConfidenceVector:
     if C.m != m:
         raise ConfigError(f"confidence length {C.m} does not match {m} examples")
     return C
+
+
+def _read_order(path: str):
+    """The ``order`` of a selection result JSON file."""
+    try:
+        return json.loads(Path(path).read_text())["order"]
+    except (ValueError, KeyError, TypeError) as e:  # not JSON, or no "order" key
+        raise FormatError(f"{path}: not a selection result with an 'order' key ({e})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,7 +111,8 @@ def cmd_oracle(args) -> int:
     E = _load_embeddings(args)
     G = simgraph.build_graph(E, args.tau)
     C = _load_confidence(args, E.m)
-    u = pruner.Utility.tanh() if args.utility == "tanh" else pruner.Utility.identity()
+    achieved = pruner.check_subset(G.m, _read_order(args.result)) if args.result else None
+    u = pruner.UTILITIES[args.utility]()
     best, best_obj = oracle.brute_force_optimum(G, C, args.budget, u)
     payload = {
         "schema": 1,
@@ -103,8 +122,7 @@ def cmd_oracle(args) -> int:
         "tau": args.tau,
         "utility": args.utility,
     }
-    if args.result:
-        achieved = json.loads(Path(args.result).read_text())["order"]
+    if achieved is not None:
         # scored on the oracle's own dense evaluator, so that a subset
         # compared against itself yields a ratio of exactly 1
         payload["achieved_objective"] = oracle.dense_objective(
@@ -172,27 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None,
                    help=f"similarity threshold (default: the --graph cache's tau, else "
                         f"{DEFAULT_TAU}); must match the cache's tau when both are given")
-    p.add_argument("--budget", type=int, required=True)
     p.add_argument("--rule", choices=("surrogate", "exact", "lazy"), default="surrogate")
-    p.add_argument("--utility", choices=("tanh", "identity"), default="tanh")
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--labels", help="label vector file (binary, or one class id per line)")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--confidences", help="confidence vector file (binary, or one value per line)")
-    src.add_argument("--probs", help="softmax matrix file (binary or CSV)")
-    p.add_argument("--metric", choices=("maxprob", "diffprob"), default="maxprob")
+    _add_selection_args(p)
     p.add_argument("--out", help="result JSON path (default: stdout)")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("oracle", help="brute-force optimum and approximation ratio")
     _add_embedding_args(p)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--utility", choices=("tanh", "identity"), default="tanh")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--confidences")
-    src.add_argument("--probs")
-    p.add_argument("--metric", choices=("maxprob", "diffprob"), default="maxprob")
+    _add_selection_args(p)
     p.add_argument("--result", help="selection result JSON to score against the optimum")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_oracle)
@@ -215,9 +223,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RelpickError as e:
+    except (RelpickError, OSError) as e:  # OSError: a file that cannot be read or written
         print(f"relpick: error: {e}", file=sys.stderr)
-        return e.exit_code
+        return e.exit_code if isinstance(e, RelpickError) else DataError.exit_code
 
 
 if __name__ == "__main__":

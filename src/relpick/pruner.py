@@ -22,6 +22,7 @@ updated over neighbors in index order, so runs are deterministic.
 from __future__ import annotations
 
 import heapq
+import operator
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
@@ -36,7 +37,7 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import NeighborGraph, edge_threshold, unit_rows
+from .simgraph import NeighborGraph, edge_rule, unit_rows
 
 _ALL = slice(None)
 _FIRST = np.zeros(1, dtype=np.intp)
@@ -93,12 +94,15 @@ class Utility:
             raise ConfigError(f"{self.kind} utility is not concave on [0, {grid_max}]")
 
 
+UTILITIES = {"tanh": Utility.tanh, "identity": Utility.identity}  # by name, knot-free
+
+
 def utility_from_config(cfg: SelectionConfig) -> Utility:
     """The configured utility, shape-checked."""
     if cfg.utility == "piecewise":
         u = Utility.piecewise(cfg.utility_knots)
     else:
-        u = Utility.tanh() if cfg.utility == "tanh" else Utility.identity()
+        u = UTILITIES[cfg.utility]()
     u.validate_shape()
     return u
 
@@ -138,8 +142,12 @@ def recompute_cn(G: NeighborGraph, C: ConfidenceVector, S) -> np.ndarray:
     return cn
 
 
-def _check_subset(m: int, S) -> list[int]:
-    idx = [int(i) for i in S]
+def check_subset(m: int, S) -> list[int]:
+    """S as a list of ints, each in [0, m) and none repeated, else DataError."""
+    try:
+        idx = [operator.index(i) for i in S]  # unlike int(), refuses 1.5 and "1"
+    except TypeError:
+        raise DataError("subset must be a sequence of integer ids") from None
     if len(set(idx)) != len(idx):
         raise DataError("subset contains duplicate indices")
     for i in idx:
@@ -151,7 +159,7 @@ def _check_subset(m: int, S) -> list[int]:
 def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
     """Total utility of the subset's neighborhood confidence, computed
     from scratch."""
-    idx = _check_subset(G.m, S)
+    idx = check_subset(G.m, S)
     return float(u(recompute_cn(G, C, idx)).sum())
 
 
@@ -247,17 +255,10 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
     return update
 
 
-def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
-    t32 = edge_threshold(tau)
-
+def _similarity_scan(U: np.ndarray, conf: np.ndarray, rule):
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-        sims = U @ U[x]
-        np.clip(sims, -1.0, 1.0, out=sims)
-        sims[x] = 1.0
-        w = sims.astype(np.float32)  # same quantization and edge rule as the graph
-        w64 = w.astype(np.float64)
-        w64[w < t32] = 0.0
-        inc = w64 * conf[x]
+        w32, keep = rule((U @ U[x])[None], x)  # the graph's edge rule, on one row
+        inc = np.where(keep[0], w32[0], 0.0) * conf[x]
         cn += inc  # dense, like the scan: a sparse update skews per-step cost
         return _ALL, inc
     return update
@@ -313,8 +314,11 @@ def select(
         inc = G.weights.astype(np.float64) * C.values[G.row_ids()]  # w(x, j) C[x] per edge
         gains = lambda cn, rows: _marginals(cn, G.indices, inc, G.indptr[:-1], u)[rows]  # noqa: E731
     if cfg.balanced:
-        members = (np.flatnonzero(labels.values == j) for j in range(labels.class_count))
-        pick = _best_of(((r, r) for r in members if r.size), gains)  # skip empty classes
+        # one stable sort: each present class's members in ascending index,
+        # classes in id order; ids with no members form no group
+        by_class = np.argsort(labels.values, kind="stable")
+        members = np.split(by_class, np.flatnonzero(np.diff(labels.values[by_class])) + 1)
+        pick = _best_of(((r, r) for r in members), gains)
     elif cfg.rule == "lazy":
         pick = _celf(G, C, u, gains)
     else:
@@ -335,7 +339,7 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
     pick = _best_of([(_ALL, range(E.m))], _surrogate_gains(C.values, u))
-    return _greedy(E.m, cfg, u, pick, _similarity_scan(unit_rows(E), C.values, cfg.tau))
+    return _greedy(E.m, cfg, u, pick, _similarity_scan(unit_rows(E), C.values, edge_rule(cfg.tau)))
 
 
 @dataclass(frozen=True)
@@ -364,7 +368,7 @@ def evaluate_subset(
 ) -> SubsetReport:
     """Objective, accumulator distribution, coverage, and (when flags
     are supplied) the fraction of selected examples that are noisy."""
-    idx = _check_subset(G.m, S)
+    idx = check_subset(G.m, S)
     cn = recompute_cn(G, C, idx)
     noise_ratio = None
     if noise_flags is not None:

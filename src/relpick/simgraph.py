@@ -2,12 +2,12 @@
 
 The graph is exact: every pair whose cosine similarity, rounded to its
 stored float32 weight, reaches the threshold ``tau`` gets an edge,
-including the self-loop with weight exactly 1 (``edge_threshold`` holds
+including the self-loop with weight exactly 1 (``edge_weights`` holds
 this rule for the build and for the streaming scan alike). Construction
-is the brute-force O(m^2 d) pairwise scan, computed in float64 and
-blocked over rows so large inputs stay within memory; the result is
-deterministic and independent of the block size. Stored weights always
-lie in [tau, 1].
+is the brute-force O(m^2 d) pairwise scan in float64, blocked by bytes:
+a block of rows holds at most 64 MiB of cosines, or one row when a row
+is larger, whatever m is. The result is deterministic and independent
+of the block size. Stored weights always lie in [tau, 1].
 
 Cache file format: 8-byte magic ``RELGRPH1``, u64 m, f64 tau, u64 nnz,
 then (m+1) u64 row offsets, nnz u64 column indices, nnz f32 weights.
@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .dataspec import EmbeddingMatrix
 
 GRAPH_MAGIC = b"RELGRPH1"
 
-_BLOCK_ROWS = 1024
+_BLOCK_BYTES = 64 << 20  # float64 cosines per build block, unless one row is larger
 
 
 @dataclass(frozen=True)
@@ -101,39 +102,45 @@ def unit_rows(E: EmbeddingMatrix) -> np.ndarray:
 
 
 def edge_threshold(tau: float) -> np.float32:
-    """The edge rule: a pair is an edge when its float32 weight w has
-    float64(w) >= tau, i.e. when w >= the smallest float32 whose float64
-    value is >= tau, which this returns. Comparing w >= tau directly would
-    round tau to float32 (NumPy 2, NEP 50) and admit weights below tau."""
+    """The smallest float32 whose float64 value is >= tau: a float32 weight
+    w is an edge when w >= it. Comparing w >= tau directly would round tau
+    to float32 (NumPy 2, NEP 50) and admit weights below tau."""
     t32 = np.float32(tau)
     return t32 if float(t32) >= tau else np.nextafter(t32, np.float32(np.inf))
+
+
+def edge_weights(sims: np.ndarray, first: int, t32: np.float32) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rule on a float64 block of cosine rows first, first + 1, ...
+    against all m rows: sets their self-loops to 1 in place and returns the
+    float32 weights and the edge mask w32 >= t32. No clip: cosines a few ulp
+    above 1 round to 1.0, and those below -1 are never edges (tau > 0)."""
+    np.fill_diagonal(sims[:, first:], 1.0)
+    w32 = sims.astype(np.float32)
+    return w32, w32 >= t32
+
+
+def edge_rule(tau: float):  # edge_weights with t32 = edge_threshold(tau) computed once
+    return partial(edge_weights, t32=edge_threshold(tau))
 
 
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
     U = unit_rows(E)
-    t32 = edge_threshold(tau)
+    rule = edge_rule(tau)
     m = U.shape[0]
-    counts = np.zeros(m, dtype=np.int64)
-    idx_chunks: list[np.ndarray] = []
-    w_chunks: list[np.ndarray] = []
-    for start in range(0, m, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, m)
-        sims = U[start:stop] @ U.T
-        np.clip(sims, -1.0, 1.0, out=sims)
-        block = np.arange(stop - start)
-        sims[block, block + start] = 1.0
-        w32 = sims.astype(np.float32)
-        rows, cols = np.nonzero(w32 >= t32)  # row-major: sorted per row
-        counts[start:stop] = np.bincount(rows, minlength=stop - start)
+    step = max(1, _BLOCK_BYTES // (8 * m))  # rows per block
+    indptr = np.zeros(m + 1, dtype=np.int64)  # row degrees, then their running sum
+    idx_chunks, w_chunks = [], []
+    for start in range(0, m, step):
+        w32, keep = rule(U[start:start + step] @ U.T, start)
+        rows, cols = np.nonzero(keep)  # row-major: sorted per row
+        indptr[start + 1:start + 1 + len(w32)] = np.bincount(rows, minlength=len(w32))
         idx_chunks.append(cols.astype(np.int64))
         w_chunks.append(w32[rows, cols])
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.concatenate(idx_chunks)
-    weights = np.concatenate(w_chunks)
-    return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=indices, weights=weights)
+    np.cumsum(indptr, out=indptr)
+    return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=np.concatenate(idx_chunks),
+                         weights=np.concatenate(w_chunks))
 
 
 @dataclass(frozen=True)

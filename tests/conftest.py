@@ -46,3 +46,11 @@ def boundary_pair(tau):
             return E
         t = np.nextafter(t, np.float32(np.inf if cos >= tau else -np.inf))
     raise AssertionError(f"no float32 boundary pair found for tau={tau!r}")
+
+
+def rescaled_duplicates(seed=0, n=12, d=64):
+    """Each row four times at different scales: after unit_rows, some float64
+    cosines between copies exceed 1."""
+    base = np.random.default_rng(seed).standard_normal((n, d))
+    rows = np.concatenate([base, 3.0 * base, 0.1 * base, 7.3 * base])
+    return EmbeddingMatrix(rows.astype(np.float32))

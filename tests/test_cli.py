@@ -210,6 +210,23 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] == 1.0
 
+    @pytest.mark.parametrize("content", [
+        '{"order": [0, 0]}',  # duplicated id
+        '{"order": [-1]}',    # negative id
+        '{"order": [3]}',     # id >= m
+        '{"order": [0.5]}',   # not an integer
+        'not json',
+        '{"gains": [1.0]}',   # no order key
+    ])
+    def test_bad_result_file_exits_3(self, fixture_files, capsys, content):
+        tmp, emb, conf = fixture_files
+        bad = tmp / "r.json"
+        bad.write_text(content)
+        rc = main(["oracle", "--embeddings", emb, "--confidences", conf,
+                   "--budget", "2", "--tau", "0.5", "--result", str(bad)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("relpick: error: ")
+
     def test_oversize_instance_exits_4(self, tmp_path):
         emb = tmp_path / "e.bin"
         conf = tmp_path / "c.txt"
@@ -222,6 +239,24 @@ class TestOracleCommand:
             "--budget", "20", "--tau", "0.5",
         ])
         assert rc == 4
+
+
+class TestFileErrors:
+    def test_missing_input_exits_3(self, fixture_files, capsys):
+        tmp, _, conf = fixture_files
+        rc = main(["select", "--embeddings", str(tmp / "missing.bin"), "--confidences", conf,
+                   "--budget", "1"])
+        assert rc == 3
+        assert "missing.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["select", "graph"])
+    def test_unwritable_out_exits_3(self, fixture_files, capsys, command):
+        tmp, emb, conf = fixture_files
+        argv = ["--embeddings", emb, "--tau", "0.5", "--out", str(tmp / "no-such-dir" / "o")]
+        if command == "select":
+            argv += ["--confidences", conf, "--budget", "1"]
+        assert main([command] + argv) == 3
+        assert capsys.readouterr().err.startswith("relpick: error: ")
 
 
 class TestBenchCommand:

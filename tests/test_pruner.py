@@ -23,7 +23,7 @@ from relpick import NoiseFlagVector, LabelVector, NeighborGraph
 from relpick.pruner import recompute_cn, select_streaming
 from relpick import oracle
 
-from conftest import boundary_pair, random_unit_rows
+from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
 
 def make_state(G, C, S=()):
@@ -123,6 +123,12 @@ class TestObjective:
         _, C, G = identical2
         with pytest.raises(DataError):
             objective(G, C, [5], Utility.tanh())
+
+    @pytest.mark.parametrize("S", [[1.5], ["1"], 1])
+    def test_non_integer_ids_rejected(self, identical2, S):
+        _, C, G = identical2
+        with pytest.raises(DataError, match="integer"):
+            objective(G, C, S, Utility.tanh())
 
 
 class TestGains:
@@ -308,6 +314,16 @@ class TestSelect:
         cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
         assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
 
+    def test_balanced_groups_only_present_classes(self):
+        E = EmbeddingMatrix(np.eye(3, dtype=np.float32), normalized=True)
+        C = ConfidenceVector([0.9, 0.8, 0.7])
+        labels = LabelVector(np.array([0, 1, 10**6]), class_count=10**6 + 1)
+        G = build_graph(E, 0.5)
+        t0 = time.perf_counter()
+        r = select(G, C, labels, SelectionConfig(budget=3, tau=0.5, balanced=True))
+        assert time.perf_counter() - t0 < 1.0  # no pass per absent class id
+        assert r.order == [0, 1, 2]
+
     def test_objective_trace_non_decreasing(self):
         E, C, _, _ = oracle.random_instance(5, m=50, d=6, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
@@ -329,6 +345,15 @@ class TestSelect:
             G = build_graph(E, 0.7)
             cfg = SelectionConfig(budget=30, tau=0.7, rule="surrogate")
             assert select_streaming(E, C, cfg).order == select(G, C, None, cfg).order
+
+    def test_streaming_matches_graph_surrogate_on_cosines_above_one(self):
+        E = rescaled_duplicates(seed=2)
+        C = ConfidenceVector(np.random.default_rng(2).uniform(0.1, 0.9, E.m))
+        cfg = SelectionConfig(budget=20, tau=0.9, rule="surrogate")
+        streamed, graphed = select_streaming(E, C, cfg), select(build_graph(E, 0.9), C, None, cfg)
+        assert streamed.order == graphed.order
+        assert streamed.gains == graphed.gains
+        assert streamed.objective_trace == pytest.approx(graphed.objective_trace, rel=1e-12)
 
     def test_streaming_follows_edge_rule_at_float32_boundary(self):
         E = boundary_pair(0.9)

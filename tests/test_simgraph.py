@@ -4,11 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from relpick import ConfigError, DataError, EmbeddingMatrix, build_graph, degree_stats
+from relpick import (
+    ConfidenceVector,
+    ConfigError,
+    DataError,
+    EmbeddingMatrix,
+    Utility,
+    build_graph,
+    degree_stats,
+    objective,
+    simgraph,
+)
 from relpick.errors import FormatError
+from relpick.oracle import naive_objective, random_instance
 from relpick.simgraph import NeighborGraph, edge_threshold, load_graph, save_graph, unit_rows
 
-from conftest import boundary_pair, random_unit_rows
+from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
 
 def edge_set(G):
@@ -207,3 +218,72 @@ class TestGraphCache:
         p.write_bytes(bytes(raw))
         with pytest.raises(DataError):
             load_graph(p)
+
+
+def graph_bytes(G):
+    return G.indptr.tobytes(), G.indices.tobytes(), G.weights.tobytes()
+
+
+class TestEdgeKernel:
+    """One edge rule, ``edge_weights``, run by the build over blocks bounded
+    by bytes and by the streaming scan one row at a time."""
+
+    @staticmethod
+    def record_blocks(monkeypatch, cap):
+        """Set the block cap; return the list that collects each
+        (shape, dtype, first row) ``build_graph`` hands to ``edge_weights``."""
+        seen, kernel = [], simgraph.edge_weights
+
+        def recording(sims, first, t32):
+            seen.append((sims.shape, sims.dtype, first))
+            return kernel(sims, first, t32)
+        monkeypatch.setattr(simgraph, "edge_weights", recording)
+        monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        return seen
+
+    @pytest.mark.parametrize("rows", [1, 3, "all"])
+    def test_graph_independent_of_block_rows(self, monkeypatch, rows):
+        instances = [(random_instance(seed, m=61, d=8, c=4)[0], 0.8) for seed in range(4)]
+        instances.append((boundary_pair(0.9), 0.9))
+        for E, tau in instances:
+            default = graph_bytes(build_graph(E, tau))
+            seen = self.record_blocks(monkeypatch, 8 * E.m * (E.m if rows == "all" else rows))
+            assert graph_bytes(build_graph(E, tau)) == default
+            assert {shape[0] for shape, _, _ in seen[:-1]} <= {E.m if rows == "all" else rows}
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("cap", [1, 8 * 50 * 7 + 5, 64 << 20])
+    def test_float64_block_within_cap_or_one_row(self, monkeypatch, cap):
+        m = 50 if cap < 64 << 20 else 9000  # 9000 rows of 1024 would be 70 MiB
+        E = random_instance(3, m=m, d=4, c=3)[0]
+        seen = self.record_blocks(monkeypatch, cap)
+        build_graph(E, 0.999)
+        assert all(dtype == np.float64 and shape[1] == m for shape, dtype, _ in seen)
+        assert all(8 * shape[0] * m <= max(cap, 8 * m) for shape, _, _ in seen)
+        assert [first for _, _, first in seen] == list(range(0, m, max(1, cap // (8 * m))))
+        assert sum(shape[0] for shape, _, _ in seen) == m
+
+    def test_cosines_above_one_store_exactly_one(self, tmp_path):
+        E = rescaled_duplicates()
+        U = unit_rows(E)
+        above = np.argwhere(U @ U.T > 1.0)
+        assert above.size, "precondition: some float64 cosines exceed 1"
+        G = build_graph(E, 0.9)
+        W = G.dense_weights()
+        assert (W[above[:, 0], above[:, 1]] == 1.0).all()
+        assert W.max() == 1.0
+        p = tmp_path / "g.bin"
+        save_graph(p, G)
+        assert graph_bytes(load_graph(p)) == graph_bytes(G)  # load_graph validates
+        C = ConfidenceVector(np.random.default_rng(1).uniform(0.1, 0.9, E.m))
+        for S in ([0, 12], [1, 13, 25, 37], list(range(0, E.m, 5))):
+            fast = objective(G, C, S, Utility.tanh())
+            assert fast == pytest.approx(naive_objective(E, C, 0.9, S, np.tanh), abs=1e-9)
+
+    def test_edge_weights_sets_self_loops_in_place(self):
+        sims = np.full((2, 5), 0.5)
+        w32, keep = simgraph.edge_weights(sims, 2, edge_threshold(0.9))
+        assert sims[0, 2] == sims[1, 3] == 1.0 and sims.sum() == 2.0 + 0.5 * 8
+        assert w32.dtype == np.float32
+        assert keep.tolist() == [[False, False, True, False, False],
+                                 [False, False, False, True, False]]
