@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, oracle, pruner, simgraph
@@ -73,14 +74,16 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _graph_summary(G: simgraph.NeighborGraph) -> dict:
+    return {"tau": G.tau, "edges": G.nnz, "degree": simgraph.degree_stats(G).to_dict()}
+
+
 def cmd_graph(args) -> int:
     E = _load_embeddings(args)
     G = simgraph.build_graph(E, args.tau)
     if args.out:
         simgraph.save_graph(args.out, G)
-    stats = simgraph.degree_stats(G)
-    print(json.dumps({"schema": 1, "m": G.m, "tau": G.tau, "edges": G.nnz,
-                      "degree": stats.to_dict()}, sort_keys=True))
+    print(json.dumps({"schema": 1, "m": G.m, **_graph_summary(G)}, sort_keys=True))
     return 0
 
 
@@ -92,8 +95,10 @@ def cmd_select(args) -> int:
             raise ConfigError(f"graph size {G.m} does not match {E.m} embeddings")
         if args.tau is not None and args.tau != G.tau:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
+        source = "cache"
     else:
         G = simgraph.build_graph(E, DEFAULT_TAU if args.tau is None else args.tau)
+        source = "built"
     C = _load_confidence(args, E.m)
     labels = load_labels(args.labels) if args.labels else None
     cfg = SelectionConfig(
@@ -102,7 +107,8 @@ def cmd_select(args) -> int:
         rule=args.rule,
         balanced=args.balanced,
     )
-    result = pruner.select(G, C, labels, cfg)
+    result = replace(pruner.select(G, C, labels, cfg),
+                     graph={"source": source, **_graph_summary(G)})
     _emit(result.to_json(), args.out)
     return 0
 

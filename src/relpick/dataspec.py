@@ -212,6 +212,7 @@ class SelectionResult:
     wall_times: list[float]
     config: SelectionConfig
     warnings: list[str] = field(default_factory=list)
+    graph: dict | None = None  # provenance of the graph selected on, when known
 
     def __post_init__(self):
         if len(set(self.order)) != len(self.order):
@@ -230,6 +231,8 @@ class SelectionResult:
             "config": self.config.to_dict(),
             "warnings": list(self.warnings),
         }
+        if self.graph is not None:
+            payload["graph"] = self.graph
         return json.dumps(payload, sort_keys=True, indent=2)
 
 

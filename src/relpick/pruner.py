@@ -257,8 +257,9 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
 
 def _similarity_scan(U: np.ndarray, conf: np.ndarray, rule):
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-        w32, keep = rule((U @ U[x])[None], x)  # the graph's edge rule, on one row
-        inc = np.where(keep[0], w32[0], 0.0) * conf[x]
+        js, w32 = rule((U @ U[x])[None], x)  # the graph's edge rule, on one row
+        inc = np.zeros_like(cn)
+        inc[js] = w32 * conf[x]
         cn += inc  # dense, like the scan: a sparse update skews per-step cost
         return _ALL, inc
     return update

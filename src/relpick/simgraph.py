@@ -3,11 +3,20 @@
 The graph is exact: every pair whose cosine similarity, rounded to its
 stored float32 weight, reaches the threshold ``tau`` gets an edge,
 including the self-loop with weight exactly 1 (``edge_weights`` holds
-this rule for the build and for the streaming scan alike). Construction
-is the brute-force O(m^2 d) pairwise scan in float64, blocked by bytes:
-a block of rows holds at most 64 MiB of cosines, or one row when a row
-is larger, whatever m is. The result is deterministic and independent
-of the block size. Stored weights always lie in [tau, 1].
+this rule for the build and for the streaming scan alike). The rule
+screens the float64 cosines against ``edge_floor(tau)``, the smallest
+float64 whose float32 rounding reaches ``edge_threshold(tau)``, and casts
+only the survivors to float32.
+
+Construction is the brute-force O(m^2 d) pairwise scan in float64 over
+the upper triangle only: a block of rows i is multiplied against rows
+j >= i, and each edge found above the diagonal is mirrored into row j.
+A block holds at most 64 MiB of cosines, or one row when a row is
+larger, whatever m is. The CSR is assembled in O(nnz) plus one stable
+sort of the upper edges' column ids: row i holds its mirrored edges
+(columns < i), then its self-loop and the edges it found (columns >= i),
+so columns are sorted per row. The result is deterministic and
+independent of the block size. Stored weights always lie in [tau, 1].
 
 Cache file format: 8-byte magic ``RELGRPH1``, u64 m, f64 tau, u64 nnz,
 then (m+1) u64 row offsets, nnz u64 column indices, nnz f32 weights.
@@ -109,38 +118,87 @@ def edge_threshold(tau: float) -> np.float32:
     return t32 if float(t32) >= tau else np.nextafter(t32, np.float32(np.inf))
 
 
-def edge_weights(sims: np.ndarray, first: int, t32: np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """The edge rule on a float64 block of cosine rows first, first + 1, ...
-    against all m rows: sets their self-loops to 1 in place and returns the
-    float32 weights and the edge mask w32 >= t32. No clip: cosines a few ulp
-    above 1 round to 1.0, and those below -1 are never edges (tau > 0)."""
+def edge_floor(tau: float) -> float:
+    """The smallest float64 x with float32(x) >= edge_threshold(tau), so a
+    float64 cosine is an edge exactly when it is >= this floor: the
+    midpoint between t32 and the float32 below it, or the next float64
+    above when that midpoint rounds down (round half to even)."""
+    t32 = edge_threshold(tau)
+    mid = (float(np.nextafter(t32, np.float32(-np.inf))) + float(t32)) / 2  # exact in float64
+    return mid if np.float32(mid) >= t32 else float(np.nextafter(mid, np.inf))
+
+
+def edge_weights(sims: np.ndarray, first: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rule on a float64 block of cosines whose row k has its
+    self-loop in column first + k: sets the self-loops to 1 in place and
+    returns the edges' positions in the raveled block and their float32
+    weights. No clip: cosines a few ulp above 1 round to 1.0, and those
+    below -1 are never edges (tau > 0)."""
     np.fill_diagonal(sims[:, first:], 1.0)
-    w32 = sims.astype(np.float32)
-    return w32, w32 >= t32
+    flat = np.flatnonzero(sims >= floor)
+    return flat, sims.ravel()[flat].astype(np.float32)
 
 
-def edge_rule(tau: float):  # edge_weights with t32 = edge_threshold(tau) computed once
-    return partial(edge_weights, t32=edge_threshold(tau))
+def edge_rule(tau: float):  # edge_weights with floor = edge_floor(tau) computed once
+    return partial(edge_weights, floor=edge_floor(tau))
 
 
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
+    own, col, w = _upper_edges(E, edge_rule(tau))
+    m = own.size
+    mirrored = np.bincount(col, minlength=m) - 1  # less the self-loop
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(own + mirrored, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    weights = np.empty(indptr[-1], dtype=np.float32)
+    # Row i is [mirrored edges, columns < i][self-loop][own edges, columns > i].
+    # The own edges and the self-loop fill the row's tail in row-major order.
+    tail = _in_ranges(indptr[:-1] + mirrored, indptr[1:], indptr[-1])
+    indices[tail], weights[tail] = col, w
+    del tail
+    # A stable sort by column lists each column j's edges in ascending row i,
+    # ending with the self-loop (j, j): row j's head, the self-loop included.
+    by_col = np.argsort(col, kind="stable")
+    rows = np.arange(m, dtype=col.dtype)
+    del col
+    head = _in_ranges(indptr[:-1], indptr[:-1] + mirrored + 1, indptr[-1])
+    indices[head] = np.repeat(rows, own)[by_col]
+    weights[head] = w[by_col]
+    return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=indices, weights=weights)
+
+
+def _upper_edges(E: EmbeddingMatrix, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (i, j) with i <= j, the self-loops included, in row-major
+    order: the count per row i, the column ids and the float32 weights.
+    A block of rows i is multiplied only against the rows j >= i."""
     U = unit_rows(E)
-    rule = edge_rule(tau)
     m = U.shape[0]
     step = max(1, _BLOCK_BYTES // (8 * m))  # rows per block
-    indptr = np.zeros(m + 1, dtype=np.int64)  # row degrees, then their running sum
-    idx_chunks, w_chunks = [], []
+    buf = np.empty(min(step, m) * m)  # one block of cosines, reused: no page faults per block
+    ids = np.int32 if m < 2**31 else np.int64
+    own = np.zeros(m, dtype=np.int64)
+    cols, ws = [], []
     for start in range(0, m, step):
-        w32, keep = rule(U[start:start + step] @ U.T, start)
-        rows, cols = np.nonzero(keep)  # row-major: sorted per row
-        indptr[start + 1:start + 1 + len(w32)] = np.bincount(rows, minlength=len(w32))
-        idx_chunks.append(cols.astype(np.int64))
-        w_chunks.append(w32[rows, cols])
-    np.cumsum(indptr, out=indptr)
-    return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=np.concatenate(idx_chunks),
-                         weights=np.concatenate(w_chunks))
+        block, width = U[start:start + step], m - start
+        sims = buf[:len(block) * width].reshape(len(block), width)
+        flat, w32 = rule(np.matmul(block, U[start:].T, out=sims), 0)
+        r, c = np.divmod(flat, width)
+        upper = c >= r  # the block's diagonal square below it is mirrored from earlier rows
+        own[start:start + len(block)] = np.bincount(r[upper], minlength=len(block))
+        cols.append((c[upper] + start).astype(ids))
+        ws.append(w32[upper])
+    return own, np.concatenate(cols), np.concatenate(ws)
+
+
+def _in_ranges(starts: np.ndarray, stops: np.ndarray, n: int) -> np.ndarray:
+    """A boolean mask over [0, n), True on each [starts[k], stops[k]):
+    non-empty, disjoint ranges in ascending order."""
+    edge = np.zeros(n + 1, dtype=np.int8)
+    edge[starts] = 1
+    edge[stops] -= 1  # after the starts: a range may start where the previous one stops
+    return np.cumsum(edge[:-1], dtype=np.int8).view(bool)
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,23 @@ class TestSelectCommand:
         assert "seed" not in config
         assert main(argv + ["--tau", "0.95"]) == 2
 
+    @pytest.mark.parametrize("source", ["built", "cache"])
+    def test_result_records_graph_provenance(self, tmp_path, capsys, source):
+        emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"
+        write_matrix_binary(emb, np.array([[1, 0], [2, 0], [0, 1]], dtype=np.float32))
+        write_vector_text(conf, np.array([0.9, 0.5, 0.1]))
+        argv = ["select", "--embeddings", str(emb), "--confidences", str(conf), "--budget", "2"]
+        if source == "cache":
+            main(["graph", "--embeddings", str(emb), "--tau", "0.3", "--out", str(cache)])
+            argv += ["--graph", str(cache)]
+        else:
+            argv += ["--tau", "0.3"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["graph"] == {
+            "source": source, "tau": 0.3, "edges": 5,
+            "degree": {"min": 0, "mean": 2 / 3, "max": 1}}
+
     def test_cache_of_float32_boundary_pair_loads(self, tmp_path, capsys):
         emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"
         write_matrix_binary(emb, boundary_pair(0.9).data)

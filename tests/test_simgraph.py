@@ -17,9 +17,25 @@ from relpick import (
 )
 from relpick.errors import FormatError
 from relpick.oracle import naive_objective, random_instance
-from relpick.simgraph import NeighborGraph, edge_threshold, load_graph, save_graph, unit_rows
+from relpick.simgraph import (
+    NeighborGraph,
+    edge_floor,
+    edge_threshold,
+    load_graph,
+    save_graph,
+    unit_rows,
+)
 
 from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
+
+
+def ulp_steps(x, k):
+    """The float64 values from k ulp below x to k ulp above it."""
+    down, up = [x], [x]
+    for _ in range(k):
+        down.append(float(np.nextafter(down[-1], -np.inf)))
+        up.append(float(np.nextafter(up[-1], np.inf)))
+    return down[::-1] + up[1:]
 
 
 def edge_set(G):
@@ -68,19 +84,22 @@ class TestBuildGraph:
         """The graph must equal an independent O(m^2) pairwise scan,
         bit-for-bit on float32 weights."""
         rng = np.random.default_rng(11)
-        E = random_unit_rows(rng, 40, 8)
-        tau = 0.2
-        G = build_graph(E, tau)
-        U = unit_rows(E)
-        expected = set()
-        for i in range(40):
-            for j in range(40):
-                w = np.float32(min(1.0, max(-1.0, float(np.dot(U[i], U[j])))))
-                if i == j:
-                    w = np.float32(1.0)
-                if w >= tau:
-                    expected.add((i, j, float(w)))
-        assert edge_set(G) == expected
+        instances = [(random_unit_rows(rng, 40, 8), 0.2), (boundary_pair(0.9), 0.9),
+                     (random_instance(5, m=40, d=4, c=3, cluster_spread=0.05)[0], 0.975)]
+        for E, tau in instances:
+            G = build_graph(E, tau)
+            U = unit_rows(E)
+            expected = set()
+            for i in range(E.m):
+                for j in range(E.m):
+                    w = np.float32(min(1.0, max(-1.0, float(np.dot(U[i], U[j])))))
+                    if i == j:
+                        w = np.float32(1.0)
+                    if float(w) >= tau:  # in float64: np.float32(0.9) >= 0.9 is True
+                        expected.add((i, j, float(w)))
+            assert edge_set(G) == expected
+            if tau == 0.975:
+                assert len(expected) > 2 * E.m, "precondition: cross edges at tau 0.975"
 
     def test_monotone_in_tau(self):
         rng = np.random.default_rng(12)
@@ -104,6 +123,17 @@ class TestBuildGraph:
         assert float(t32) >= tau
         assert float(np.nextafter(t32, np.float32(-np.inf))) < tau
 
+    @pytest.mark.parametrize("tau", [0.9, 0.975, 0.3, 1.0, 0.1 + 0.2])
+    def test_edge_floor_screens_exactly_the_float32_rule(self, tau):
+        # float32(x) >= t32 <=> x >= floor, on float64 values within a few
+        # ulp of the floor and of the float32 midpoint below t32 (0.9's t32
+        # has an odd mantissa, so there the midpoint rounds down)
+        t32, floor = edge_threshold(tau), edge_floor(tau)
+        mid = (float(np.nextafter(t32, np.float32(-np.inf))) + float(t32)) / 2
+        xs = [x for centre in (floor, mid) for x in ulp_steps(centre, 4)]
+        assert [bool(np.float32(x) >= t32) for x in xs] == [x >= floor for x in xs]
+        assert np.float32(floor) >= t32 > np.float32(np.nextafter(floor, -np.inf))
+
     def test_float32_boundary_pair_has_no_cross_edge(self):
         # cos < tau, but cos rounds to float32(tau): below tau, so no edge
         G = build_graph(boundary_pair(0.9), 0.9)
@@ -114,7 +144,7 @@ class TestBuildGraph:
         E = random_unit_rows(rng, 50, 8)
         G = build_graph(E, 0.25)
         w = G.weights.astype(np.float64)
-        assert w.min() >= 0.25 - 1e-9 and w.max() <= 1.0 + 1e-9
+        assert w.min() >= 0.25 and w.max() <= 1.0  # the rule: float64(w) >= tau
         G.validate()
 
 
@@ -224,31 +254,47 @@ def graph_bytes(G):
     return G.indptr.tobytes(), G.indices.tobytes(), G.weights.tobytes()
 
 
+def whole_matrix_graph(E, tau):
+    """The edge rule applied to all of U @ U.T at once: float32 weights,
+    self-loops 1, edges where w32 >= edge_threshold(tau)."""
+    U = unit_rows(E)
+    sims = U @ U.T
+    np.fill_diagonal(sims, 1.0)
+    w32 = sims.astype(np.float32)
+    keep = w32 >= edge_threshold(tau)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int64)
+    return NeighborGraph(m=E.m, tau=float(tau), indptr=indptr,
+                         indices=np.nonzero(keep)[1].astype(np.int64), weights=w32[keep])
+
+
 class TestEdgeKernel:
-    """One edge rule, ``edge_weights``, run by the build over blocks bounded
-    by bytes and by the streaming scan one row at a time."""
+    """One edge rule, ``edge_weights``, run by the build over upper-triangle
+    blocks bounded by bytes and by the streaming scan one row at a time."""
 
     @staticmethod
     def record_blocks(monkeypatch, cap):
         """Set the block cap; return the list that collects each
-        (shape, dtype, first row) ``build_graph`` hands to ``edge_weights``."""
+        (shape, dtype, first) ``build_graph`` hands to ``edge_weights``."""
         seen, kernel = [], simgraph.edge_weights
 
-        def recording(sims, first, t32):
+        def recording(sims, first, floor):
             seen.append((sims.shape, sims.dtype, first))
-            return kernel(sims, first, t32)
+            return kernel(sims, first, floor)
         monkeypatch.setattr(simgraph, "edge_weights", recording)
         monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
         return seen
 
     @pytest.mark.parametrize("rows", [1, 3, "all"])
     def test_graph_independent_of_block_rows(self, monkeypatch, rows):
+        # byte-identical to the whole-matrix rule: a wrong screen, a lost or
+        # doubled mirror edge, or a misplaced self-loop changes the bytes
         instances = [(random_instance(seed, m=61, d=8, c=4)[0], 0.8) for seed in range(4)]
-        instances.append((boundary_pair(0.9), 0.9))
+        instances += [(boundary_pair(0.9), 0.9), (rescaled_duplicates(), 0.9)]
         for E, tau in instances:
-            default = graph_bytes(build_graph(E, tau))
+            reference = graph_bytes(whole_matrix_graph(E, tau))
+            assert graph_bytes(build_graph(E, tau)) == reference
             seen = self.record_blocks(monkeypatch, 8 * E.m * (E.m if rows == "all" else rows))
-            assert graph_bytes(build_graph(E, tau)) == default
+            assert graph_bytes(build_graph(E, tau)) == reference
             assert {shape[0] for shape, _, _ in seen[:-1]} <= {E.m if rows == "all" else rows}
             monkeypatch.undo()
 
@@ -258,10 +304,13 @@ class TestEdgeKernel:
         E = random_instance(3, m=m, d=4, c=3)[0]
         seen = self.record_blocks(monkeypatch, cap)
         build_graph(E, 0.999)
-        assert all(dtype == np.float64 and shape[1] == m for shape, dtype, _ in seen)
-        assert all(8 * shape[0] * m <= max(cap, 8 * m) for shape, _, _ in seen)
-        assert [first for _, _, first in seen] == list(range(0, m, max(1, cap // (8 * m))))
-        assert sum(shape[0] for shape, _, _ in seen) == m
+        assert all(dtype == np.float64 and first == 0 for _, dtype, first in seen)
+        assert all(8 * rows * width <= max(cap, 8 * m) for (rows, width), _, _ in seen)
+        # a block of rows start, start + 1, ... holds columns start .. m - 1
+        rows = [n for (n, _), _, _ in seen]
+        starts = [m - width for (_, width), _, _ in seen]
+        assert starts == list(range(0, m, max(1, cap // (8 * m))))
+        assert starts == np.cumsum([0] + rows[:-1]).tolist() and sum(rows) == m
 
     def test_cosines_above_one_store_exactly_one(self, tmp_path):
         E = rescaled_duplicates()
@@ -281,9 +330,13 @@ class TestEdgeKernel:
             assert fast == pytest.approx(naive_objective(E, C, 0.9, S, np.tanh), abs=1e-9)
 
     def test_edge_weights_sets_self_loops_in_place(self):
+        floor = edge_floor(0.9)
         sims = np.full((2, 5), 0.5)
-        w32, keep = simgraph.edge_weights(sims, 2, edge_threshold(0.9))
-        assert sims[0, 2] == sims[1, 3] == 1.0 and sims.sum() == 2.0 + 0.5 * 8
+        sims[0, 0], sims[1, 4] = floor, np.nextafter(floor, -np.inf)  # on and below the floor
+        looped = sims.copy()
+        looped[0, 2] = looped[1, 3] = 1.0
+        flat, w32 = simgraph.edge_weights(sims, 2, floor)
+        assert np.array_equal(sims, looped)
+        assert flat.tolist() == [0, 2, 8]
         assert w32.dtype == np.float32
-        assert keep.tolist() == [[False, False, True, False, False],
-                                 [False, False, False, True, False]]
+        assert w32.tolist() == [edge_threshold(0.9), 1.0, 1.0]
