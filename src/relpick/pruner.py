@@ -15,6 +15,12 @@ either over all candidates or round-robin over label classes (balanced);
 or it runs CELF (``lazy``: Minoux 1978; Leskovec et al., KDD 2007), whose
 output is index-for-index identical to ``exact``.
 
+The candidates' gains are one array kept across steps and refreshed only
+where a gain can have moved: a self gain where cn moved, at the pick's
+neighbors; an exact marginal at every row; CELF keeps its own bounds. So
+a surrogate step costs a refresh over the pick's neighbors plus one O(m)
+argmax; the streaming scan's update is dense, so its step stays O(m d).
+
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
 """
@@ -40,6 +46,7 @@ from .dataspec import (
 from .simgraph import NeighborGraph, edge_rule, unit_rows
 
 _ALL = slice(None)
+_NOWHERE = slice(0)
 _FIRST = np.zeros(1, dtype=np.intp)
 
 
@@ -50,11 +57,8 @@ class Utility:
         self.kind = kind
         self._fn = fn
 
-    def __call__(self, z, out=None):
-        """u(z); ``out``, when given, is a buffer the result may be written
-        into, and is passed on only then, so fn may take z alone."""
-        z = np.asarray(z, dtype=np.float64)
-        return self._fn(z) if out is None else self._fn(z, out=out)
+    def __call__(self, z):
+        return self._fn(np.asarray(z, dtype=np.float64))
 
     @classmethod
     def tanh(cls) -> "Utility":
@@ -75,7 +79,7 @@ class Utility:
         ys = np.array([p[1] for p in pts])
         if np.unique(xs).size != xs.size:
             raise ConfigError("piecewise utility knots must have distinct x values")
-        u = cls("piecewise", lambda z, out=None: np.interp(z, xs, ys))
+        u = cls("piecewise", lambda z: np.interp(z, xs, ys))
         u.validate_shape(grid_max=float(xs[-1]) * 1.5 + 1.0)
         return u
 
@@ -124,6 +128,7 @@ class SelectionState:
             self.cn = np.zeros(self.m, dtype=np.float64)
 
     def add(self, x: int, G: NeighborGraph, C: ConfidenceVector) -> None:
+        x = _check_id(self.m, x)
         if self.selected_mask[x]:
             raise DataError(f"index {x} already selected")
         self.selected.append(x)
@@ -142,17 +147,25 @@ def recompute_cn(G: NeighborGraph, C: ConfidenceVector, S) -> np.ndarray:
     return cn
 
 
+def _check_id(m: int, i) -> int:
+    """i as an int in [0, m), else DataError."""
+    try:
+        i = operator.index(i)  # unlike int(), refuses 1.5 and "1"
+    except TypeError:
+        raise DataError(f"id {i!r} is not an integer") from None
+    if not (0 <= i < m):
+        raise DataError(f"index {i} out of range [0, {m})")
+    return i
+
+
 def check_subset(m: int, S) -> list[int]:
     """S as a list of ints, each in [0, m) and none repeated, else DataError."""
     try:
-        idx = [operator.index(i) for i in S]  # unlike int(), refuses 1.5 and "1"
-    except TypeError:
+        idx = [_check_id(m, i) for i in S]
+    except TypeError:  # S itself is not iterable
         raise DataError("subset must be a sequence of integer ids") from None
     if len(set(idx)) != len(idx):
         raise DataError("subset contains duplicate indices")
-    for i in idx:
-        if not (0 <= i < m):
-            raise DataError(f"subset index {i} out of range [0, {m})")
     return idx
 
 
@@ -165,6 +178,7 @@ def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
 
 def surrogate_gain(state: SelectionState, C: ConfidenceVector, x: int, u: Utility) -> float:
     """Self gain u(cn[x] + C(x)) - u(cn[x]) of adding candidate x."""
+    x = _check_id(state.m, x)
     if state.selected_mask[x]:
         raise DataError(f"index {x} already selected")
     return float(u(state.cn[x] + C.values[x]) - u(state.cn[x]))
@@ -174,6 +188,7 @@ def exact_gain(
     G: NeighborGraph, C: ConfidenceVector, state: SelectionState, x: int, u: Utility
 ) -> float:
     """True objective marginal of adding candidate x."""
+    x = _check_id(state.m, x)
     if state.selected_mask[x]:
         raise DataError(f"index {x} already selected")
     js, ws = G.neighbors(x)
@@ -192,48 +207,37 @@ def _marginals(cn: np.ndarray, js: np.ndarray, inc: np.ndarray, starts: np.ndarr
     return np.add.reduceat(u(before + inc) - u(before), starts)
 
 
-def _surrogate_gains(conf: np.ndarray, u: Utility):
-    # Reused buffers: an O(m) allocation per step would change the per-step
-    # cost profile that the scaling bench measures on the streaming scan.
-    buf, ucn = np.empty(conf.size), np.empty(conf.size)
-
-    def gains(cn: np.ndarray, rows) -> np.ndarray:
-        c = cn[rows]
-        g = u(np.add(c, conf[rows], out=buf[:c.size]), out=buf[:c.size])
-        return np.subtract(g, u(c, out=ucn[:c.size]), out=g)
-    return gains
+def _self_gains(conf: np.ndarray, u: Utility):
+    return lambda cn, rows: u(cn[rows] + conf[rows]) - u(cn[rows])
 
 
-def _best_of(groups, gains):
-    """Pick policy: the unselected candidate of highest gain in the next
-    (rows, ids) group, cycling over the groups (all rows, or one group per
-    label class); a group with nothing left drops out of the cycle."""
+def _best_of(groups):
+    """Pick policy: the candidate of highest gain in the next (rows, ids)
+    group, cycling over the groups (all rows, or one group per label
+    class); a group with nothing left drops out of the cycle."""
     groups = deque(groups)
 
-    def pick(state: SelectionState) -> tuple[int, float]:
+    def pick(state: SelectionState, gains: np.ndarray) -> tuple[int, float]:
         while True:
             rows, ids = groups.popleft()
-            g = gains(state.cn, rows)
-            g[state.selected_mask[rows]] = -np.inf
-            k = int(g.argmax())  # first max: lowest index
-            gain = float(g[k])
-            if gain > -np.inf:  # gains are >= 0, so -inf means exhausted
+            x = int(ids[gains[rows].argmax()])  # first max: lowest index
+            if gains[x] > -np.inf:  # gains are >= 0, so -inf means exhausted
                 groups.append((rows, ids))
-                return int(ids[k]), gain
+                return x, float(gains[x])
     return pick
 
 
-def _celf(G: NeighborGraph, C: ConfidenceVector, u: Utility, gains):
+def _celf(G: NeighborGraph, C: ConfidenceVector, u: Utility):
     """Lazy pick policy: stale exact gains are upper bounds by
     submodularity, so the heap top only needs refreshing until the
-    freshest entry stays on top. The first pick fills the heap with the
-    vectorized ``gains``; refreshes are one-row ``exact_gain`` calls."""
+    freshest entry stays on top. The first pick fills the heap from the
+    loop's gains; refreshes are one-row ``exact_gain`` calls."""
     heap: list[tuple[float, int, int]] = []
 
-    def pick(state: SelectionState) -> tuple[int, float]:
+    def pick(state: SelectionState, gains: np.ndarray) -> tuple[int, float]:
         step = len(state.selected)
         if step == 0:
-            heap[:] = [(-g, x, 0) for x, g in enumerate(gains(state.cn, _ALL).tolist())]
+            heap[:] = [(-g, x, 0) for x, g in enumerate(gains.tolist())]
             heapq.heapify(heap)
         while heap[0][2] != step:
             x = heap[0][1]
@@ -265,30 +269,39 @@ def _similarity_scan(U: np.ndarray, conf: np.ndarray, rule):
     return update
 
 
-def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update) -> SelectionResult:
-    """The greedy loop, over a budget clamped to the population. wall_times
-    cover each step's pick and accumulator update. The objective trace, kept
-    untimed, adds each pick's marginal u(cn) - u(cn - inc) over the rows it
-    reached."""
+def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update, gains_at,
+            reach=None) -> SelectionResult:
+    """The greedy loop, over a budget clamped to the population. The pick
+    policy reads ``gains``, each candidate's gain and -inf once selected:
+    the first step fills it with ``gains_at(cn, rows)``, each later step
+    refreshes it at ``reach``, by default the rows the last update returned.
+    wall_times cover each step's refresh, pick and update. The objective
+    trace, kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over
+    the rows it reached."""
     warnings = []
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
     state = SelectionState(m=m, budget=min(cfg.budget, m))
-    gains, trace, wall_times = [], [], []
+    gains, at = np.empty(m), _ALL
+    picked, trace, wall_times = [], [], []
     total = 0.0
     while len(state.selected) < state.budget:
         t0 = time.perf_counter()
-        x, g = pick(state)
+        if at is not _NOWHERE:
+            gains[at] = np.where(state.selected_mask[at], -np.inf, gains_at(state.cn, at))
+        x, g = pick(state, gains)
+        gains[x] = -np.inf  # also when the update does not reach x
         rows, inc = update(state.cn, x)
         state.selected_mask[x] = True
         state.selected.append(x)
         wall_times.append(time.perf_counter() - t0)
+        at = rows if reach is None else reach
         hit = inc > 0.0  # the scan's inc is dense, zero off the pick's edges
         after, inc = state.cn[rows][hit], inc[hit]
         total += float((u(after) - u(after - inc)).sum())
-        gains.append(g)
+        picked.append(g)
         trace.append(total)
-    return SelectionResult(order=list(state.selected), gains=gains, objective_trace=trace,
+    return SelectionResult(order=list(state.selected), gains=picked, objective_trace=trace,
                            wall_times=wall_times, config=cfg, warnings=warnings)
 
 
@@ -309,22 +322,23 @@ def select(
         raise DataError("exact marginals need every graph row to hold its self-loop")
     cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
     u = utility_from_config(cfg)
-    if cfg.rule == "surrogate":
-        gains = _surrogate_gains(C.values, u)
-    else:
+    if cfg.rule == "surrogate":  # a self gain moves only where cn moved
+        gains_at, reach = _self_gains(C.values, u), None
+    else:  # an exact marginal moves wherever a neighbor's cn moved
         inc = G.weights.astype(np.float64) * C.values[G.row_ids()]  # w(x, j) C[x] per edge
-        gains = lambda cn, rows: _marginals(cn, G.indices, inc, G.indptr[:-1], u)[rows]  # noqa: E731
+        gains_at = lambda cn, rows: _marginals(cn, G.indices, inc, G.indptr[:-1], u)[rows]  # noqa: E731
+        reach = _ALL
     if cfg.balanced:
         # one stable sort: each present class's members in ascending index,
         # classes in id order; ids with no members form no group
         by_class = np.argsort(labels.values, kind="stable")
         members = np.split(by_class, np.flatnonzero(np.diff(labels.values[by_class])) + 1)
-        pick = _best_of(((r, r) for r in members), gains)
-    elif cfg.rule == "lazy":
-        pick = _celf(G, C, u, gains)
+        pick = _best_of((r, r) for r in members)
+    elif cfg.rule == "lazy":  # CELF keeps its own bounds
+        pick, reach = _celf(G, C, u), _NOWHERE
     else:
-        pick = _best_of([(_ALL, range(G.m))], gains)
-    return _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values))
+        pick = _best_of([(_ALL, range(G.m))])
+    return _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values), gains_at, reach)
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:
@@ -339,8 +353,8 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
     if C.m != E.m:
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
-    pick = _best_of([(_ALL, range(E.m))], _surrogate_gains(C.values, u))
-    return _greedy(E.m, cfg, u, pick, _similarity_scan(unit_rows(E), C.values, edge_rule(cfg.tau)))
+    update = _similarity_scan(unit_rows(E), C.values, edge_rule(cfg.tau))
+    return _greedy(E.m, cfg, u, _best_of([(_ALL, range(E.m))]), update, _self_gains(C.values, u))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from relpick.cli import main
-from relpick.dataspec import write_matrix_binary, write_vector_binary, write_vector_text
+from relpick.dataspec import (
+    SELECTION_RULES,
+    write_matrix_binary,
+    write_vector_binary,
+    write_vector_text,
+)
 
 from conftest import boundary_pair
 
@@ -63,6 +68,16 @@ class TestSelectCommand:
         result = json.loads(capsys.readouterr().out)
         assert result["order"] == [0, 1]
         assert result["objective_trace"][-1] == pytest.approx(1.4, abs=1e-12)
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    def test_every_selection_rule_is_a_choice(self, fixture_files, capsys, rule):
+        _, emb, conf = fixture_files
+        rc = main([
+            "select", "--embeddings", emb, "--confidences", conf,
+            "--budget", "2", "--tau", "0.5", "--rule", rule,
+        ])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["config"]["rule"] == rule
 
     def test_balanced_without_labels_exits_2(self, fixture_files):
         _, emb, conf = fixture_files

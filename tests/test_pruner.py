@@ -21,7 +21,7 @@ from relpick import (
 )
 from relpick import NoiseFlagVector, LabelVector, NeighborGraph
 from relpick.pruner import recompute_cn, select_streaming
-from relpick import oracle
+from relpick import oracle, pruner
 
 from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
@@ -31,6 +31,17 @@ def make_state(G, C, S=()):
     for x in S:
         st.add(x, G, C)
     return st
+
+
+def replayed_gains(G, C, order, rule, u):
+    """Each pick's gain, surrogate_gain or exact_gain, on the state that
+    SelectionState.add rebuilds from the picks before it."""
+    st, gains = make_state(G, C), []
+    for x in order:
+        gains.append(surrogate_gain(st, C, x, u) if rule == "surrogate"
+                     else exact_gain(G, C, st, x, u))
+        st.add(x, G, C)
+    return gains
 
 
 def reference_greedy(G, C, labels, budget, rule, u):
@@ -190,6 +201,31 @@ class TestGains:
                 marginal = objective(G, C, S + [x], u) - base
                 assert exact_gain(G, C, st, x, u) == pytest.approx(marginal, abs=1e-9)
 
+    @pytest.fixture
+    def instance20(self):
+        E, C, _, _ = oracle.random_instance(0, m=20, d=6, c=3, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        return G, C, make_state(G, C)
+
+    @pytest.mark.parametrize("x", [-1, 20])
+    def test_exact_gain_rejects_out_of_range_id(self, instance20, x):
+        G, C, st = instance20
+        with pytest.raises(DataError, match="out of range"):
+            exact_gain(G, C, st, x, Utility.tanh())
+
+    @pytest.mark.parametrize("x", [-1, 20])
+    def test_surrogate_gain_rejects_out_of_range_id(self, instance20, x):
+        _, C, st = instance20
+        with pytest.raises(DataError, match="out of range"):
+            surrogate_gain(st, C, x, Utility.tanh())
+
+    @pytest.mark.parametrize("x", [-1, 20])
+    def test_state_add_rejects_out_of_range_id(self, instance20, x):
+        G, C, st = instance20
+        with pytest.raises(DataError, match="out of range"):
+            st.add(x, G, C)
+        assert st.selected == [] and not st.selected_mask.any()
+
 
 class TestMonotoneSubmodular:
     def test_monotonicity_nested_sets(self):
@@ -267,6 +303,45 @@ class TestSelect:
             cfg = SelectionConfig(budget=budget, tau=0.6, rule=rule, balanced=balanced)
             assert select(G, C, labels, cfg).order == reference_greedy(G, C, labels, budget,
                                                                        rule, u)
+
+    def test_surrogate_masks_a_pick_its_update_does_not_reach(self):
+        # row 1 stores no edge, not even its self-loop, so picking it
+        # changes no cn: its gain must still leave the candidates
+        G = NeighborGraph(m=3, tau=0.5, indptr=np.array([0, 1, 1, 2]), indices=np.array([0, 2]),
+                          weights=np.array([1.0, 1.0], dtype=np.float32))
+        C = ConfidenceVector([0.2, 0.9, 0.1])
+        assert select(G, C, None, SelectionConfig(budget=3, tau=0.5)).order == [1, 0, 2]
+
+    @pytest.mark.parametrize("rule,balanced", [
+        ("surrogate", False), ("exact", False), ("surrogate", True), ("exact", True),
+    ])
+    def test_gains_equal_one_row_gains_on_replayed_state(self, rule, balanced):
+        u = Utility.tanh()
+        for seed in range(10):
+            E, C, labels, _ = oracle.random_instance(seed, m=80, d=6, c=3, cluster_spread=0.3,
+                                                     noise_fraction=0.2)
+            G = build_graph(E, 0.6)
+            cfg = SelectionConfig(budget=40, tau=0.6, rule=rule, balanced=balanced)
+            r = select(G, C, labels if balanced else None, cfg)
+            assert r.gains == replayed_gains(G, C, r.order, rule, u)
+
+    def test_streaming_gains_equal_one_row_gains_on_replayed_state(self):
+        for seed in range(5):
+            E, C, _, _ = oracle.random_instance(seed, m=100, d=8, c=5, cluster_spread=0.3)
+            r = select_streaming(E, C, SelectionConfig(budget=40, tau=0.7))
+            assert r.gains == replayed_gains(build_graph(E, 0.7), C, r.order, "surrogate",
+                                             Utility.tanh())
+
+    def test_lazy_computes_vectorized_marginals_once(self, monkeypatch):
+        E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        segments = []
+        marginals = pruner._marginals
+        monkeypatch.setattr(pruner, "_marginals",
+                            lambda *a: segments.append(a[3].size) or marginals(*a))
+        select(G, C, None, SelectionConfig(budget=40, tau=0.6, rule="lazy"))
+        assert segments.count(G.m) == 1  # the fill; CELF refreshes one row at a time
+        assert set(segments) == {1, G.m}
 
     def test_lazy_wall_times_are_per_pick(self):
         E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
