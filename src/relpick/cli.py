@@ -15,6 +15,7 @@ from pathlib import Path
 
 from . import baselines, oracle, pruner, simgraph
 from .dataspec import (
+    DEFAULT_TAU,
     SELECTION_RULES,
     ConfidenceVector,
     ProbabilityMatrix,
@@ -28,7 +29,6 @@ from .dataspec import (
 from .errors import ConfigError, DataError, FormatError, RelpickError
 
 BENCH_MIN_M = 512
-DEFAULT_TAU = 0.975
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
@@ -89,7 +89,22 @@ def cmd_graph(args) -> int:
 
 
 def cmd_select(args) -> int:
+    # every input is checked before the graph is built or loaded, the slow
+    # part of a run
+    cfg = SelectionConfig(
+        budget=args.budget,
+        tau=DEFAULT_TAU if args.tau is None else args.tau,
+        utility=args.utility,
+        rule=args.rule,
+        balanced=args.balanced,
+    )
+    if cfg.balanced and not args.labels:
+        raise ConfigError("--balanced requires --labels")
     E = _load_embeddings(args)
+    C = _load_confidence(args, E.m)
+    labels = load_labels(args.labels) if args.labels else None
+    if labels is not None and labels.m != E.m:
+        raise DataError(f"label length {labels.m} does not match {E.m} examples")
     if args.graph:
         G = simgraph.load_graph(args.graph)
         if G.m != E.m:
@@ -98,16 +113,8 @@ def cmd_select(args) -> int:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
         source = "cache"
     else:
-        G = simgraph.build_graph(E, DEFAULT_TAU if args.tau is None else args.tau)
+        G = simgraph.build_graph(E, cfg.tau)
         source = "built"
-    C = _load_confidence(args, E.m)
-    labels = load_labels(args.labels) if args.labels else None
-    cfg = SelectionConfig(
-        budget=args.budget,
-        utility=args.utility,
-        rule=args.rule,
-        balanced=args.balanced,
-    )
     result = replace(pruner.select(G, C, labels, cfg),
                      graph={"source": source, **_graph_summary(G)})
     _emit(result.to_json(), args.out)
@@ -170,7 +177,10 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",")]
+    except ValueError:
+        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
     rows = run_bench(sizes, d=args.d, steps=args.steps, seed=args.seed, tau=args.tau)
     lines = ["algorithm,m,step,seconds"]
     lines += [f"{r['algorithm']},{r['m']},{r['step']},{r['seconds']:.9f}" for r in rows]

@@ -32,6 +32,7 @@ CONFIDENCE_SLACK = 1e-6
 
 UTILITY_KINDS = ("tanh", "identity", "piecewise")
 SELECTION_RULES = ("surrogate", "exact", "lazy")
+DEFAULT_TAU = 0.975  # the similarity threshold when none is given
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -175,7 +176,7 @@ class SelectionConfig:
     """
 
     budget: int
-    tau: float = 0.975
+    tau: float = DEFAULT_TAU
     utility: str = "tanh"
     rule: str = "surrogate"
     balanced: bool = False

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from relpick import simgraph
 from relpick.cli import main
 from relpick.dataspec import (
     SELECTION_RULES,
@@ -86,6 +87,41 @@ class TestSelectCommand:
             "--budget", "2", "--tau", "0.5", "--balanced",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("bad, code", [
+        (["--budget", "0"], 2),
+        (["--budget", "1", "--balanced"], 2),  # no --labels
+        (["--budget", "1", "--tau", "1.5"], 2),
+        (["--budget", "1", "--labels", "short"], 3),
+        (["--budget", "1", "--confidences", "short"], 2),
+    ])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_inputs_checked_before_the_graph(self, fixture_files, monkeypatch, capsys,
+                                             bad, code, cached):
+        tmp, emb, conf = fixture_files
+        write_vector_text(tmp / "short", np.array([1.0, 0.0]))  # 2 values for 3 examples
+
+        def no_graph(*args):
+            raise AssertionError("the graph was built or loaded before the inputs were checked")
+        monkeypatch.setattr(simgraph, "build_graph", no_graph)
+        monkeypatch.setattr(simgraph, "load_graph", no_graph)
+        bad = [str(tmp / a) if a == "short" else a for a in bad]
+        argv = ["select", "--embeddings", emb] + bad
+        if "--confidences" not in bad:
+            argv += ["--confidences", conf]
+        if cached:
+            argv += ["--graph", str(tmp / "g.bin")]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("relpick: error: ")
+
+    def test_relgrph1_cache_exits_3(self, fixture_files, capsys):
+        tmp, emb, conf = fixture_files
+        old = tmp / "g.bin"
+        old.write_bytes(b"RELGRPH1" + b"\x00" * 24)
+        rc = main(["select", "--embeddings", emb, "--graph", str(old), "--confidences", conf,
+                   "--budget", "1"])
+        assert rc == 3
+        assert "rebuild" in capsys.readouterr().err
 
     def test_budget_over_population_warns(self, fixture_files, capsys):
         _, emb, conf = fixture_files
@@ -294,6 +330,12 @@ class TestFileErrors:
 class TestBenchCommand:
     def test_refuses_tiny_populations(self):
         assert main(["bench", "--sizes", "64", "--steps", "8"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["2048,abc", ""])
+    def test_malformed_sizes_exit_2(self, capsys, sizes):
+        assert main(["bench", "--sizes", sizes, "--steps", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("relpick: error: ") and captured.out == ""
 
     def test_small_smoke_run(self, capsys):
         rc = main(["bench", "--sizes", "512", "--steps", "10", "--d", "8"])

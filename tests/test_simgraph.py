@@ -1,4 +1,5 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,44 @@ class TestGraphCache:
         with pytest.raises(FormatError):
             load_graph(p)
 
+    def test_build_and_load_hold_int32_ids(self, tmp_path):
+        G = build_graph(random_unit_rows(np.random.default_rng(21), 30, 5), 0.3)
+        p = tmp_path / "g.bin"
+        save_graph(p, G)
+        assert G.indices.dtype == load_graph(p).indices.dtype == np.int32
+        assert G.neighbors(0)[0].dtype == np.intp  # what numpy indexes with fastest
+        assert p.stat().st_size == 32 + 8 * (G.m + 1) + 8 * G.nnz  # 4-byte ids, 4-byte weights
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_symmetry_keys_do_not_overflow_int32(self, tmp_path, symmetric):
+        # m > 46341, so id * m passes 2^31 for the pair (46400, 49000): keys
+        # computed in int32 would wrap, and the valid graph would be rejected
+        m, pair = 50_000, (46_400, 49_000)
+        rows = [(i, i) for i in range(m)] + [pair] + ([pair[::-1]] if symmetric else [])
+        rows.sort()
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount([i for i, _ in rows], minlength=m), out=indptr[1:])
+        indices = np.array([j for _, j in rows], dtype=np.int32)
+        G = NeighborGraph(m=m, tau=0.9, indptr=indptr, indices=indices,
+                          weights=np.ones(len(rows), dtype=np.float32))
+        p = tmp_path / "g.bin"
+        save_graph(p, G)
+        if symmetric:
+            assert graph_bytes(load_graph(p)) == graph_bytes(G)
+        else:
+            with pytest.raises(DataError, match="not symmetric"):
+                load_graph(p)
+
+    def test_relgrph1_cache_asks_for_a_rebuild(self, tmp_path):
+        # the previous layout: u64 offsets, u64 column ids, f32 weights
+        G = build_graph(random_unit_rows(np.random.default_rng(22), 6, 3), 0.3)
+        p = tmp_path / "g.bin"
+        p.write_bytes(b"RELGRPH1" + struct.pack("<QdQ", G.m, G.tau, G.nnz)
+                      + G.indptr.astype("<u8").tobytes() + G.indices.astype("<u8").tobytes()
+                      + G.weights.astype("<f4").tobytes())
+        with pytest.raises(FormatError, match="no RELGRPH2 graph header; rebuild it"):
+            load_graph(p)
+
     def test_asymmetry_detected(self, tmp_path):
         G = build_graph(EmbeddingMatrix(np.ones((2, 2))), 0.9)
         p = tmp_path / "g.bin"
@@ -264,7 +303,7 @@ def whole_matrix_graph(E, tau):
     keep = w32 >= edge_threshold(tau)
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))]).astype(np.int64)
     return NeighborGraph(m=E.m, tau=float(tau), indptr=indptr,
-                         indices=np.nonzero(keep)[1].astype(np.int64), weights=w32[keep])
+                         indices=np.nonzero(keep)[1].astype(np.int32), weights=w32[keep])
 
 
 class TestEdgeKernel:
