@@ -122,10 +122,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # the inputs and the enumeration guard are checked before the build
     E = _load_embeddings(args)
-    G = simgraph.build_graph(E, args.tau)
     C = _load_confidence(args, E.m)
-    achieved = pruner.check_subset(G.m, _read_order(args.result)) if args.result else None
+    achieved = pruner.check_subset(E.m, _read_order(args.result)) if args.result else None
+    oracle.check_enumeration(E.m, args.budget)
+    G = simgraph.build_graph(E, args.tau)
     u = pruner.UTILITIES[args.utility]()
     best, best_obj = oracle.brute_force_optimum(G, C, args.budget, u)
     payload = {

@@ -59,12 +59,10 @@ def dense_objective(W: np.ndarray, C: ConfidenceVector, S, u) -> float:
     return float(np.sum(u(W[:, idx] @ C.values[idx])))
 
 
-def brute_force_optimum(
-    G: NeighborGraph, C: ConfidenceVector, s: int, u
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustively evaluate every size-s subset; ties resolve to the
-    lexicographically smallest subset. Guarded against blow-up."""
-    m = G.m
+def check_enumeration(m: int, s: int) -> None:
+    """The guard of ``brute_force_optimum``, which needs only m and s: a
+    subset size outside [1, m] is a DataError, and more than
+    ``ENUMERATION_LIMIT`` subsets a SizeGuardError."""
     if not (1 <= s <= m):
         raise DataError(f"subset size {s} out of range [1, {m}]")
     n_combos = math.comb(m, s)
@@ -73,6 +71,15 @@ def brute_force_optimum(
             f"C({m},{s}) = {n_combos} subsets exceeds the enumeration limit "
             f"of {ENUMERATION_LIMIT}"
         )
+
+
+def brute_force_optimum(
+    G: NeighborGraph, C: ConfidenceVector, s: int, u
+) -> tuple[tuple[int, ...], float]:
+    """Exhaustively evaluate every size-s subset; ties resolve to the
+    lexicographically smallest subset. Guarded against blow-up."""
+    m = G.m
+    check_enumeration(m, s)
     W = G.dense_weights()
     best_subset: tuple[int, ...] | None = None
     best_obj = -np.inf

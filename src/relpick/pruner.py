@@ -17,9 +17,13 @@ output is index-for-index identical to ``exact``.
 
 The candidates' gains are one array kept across steps and refreshed only
 where a gain can have moved: a self gain where cn moved, at the pick's
-neighbors; an exact marginal at every row; CELF keeps its own bounds. So
-a surrogate step costs a refresh over the pick's neighbors plus one O(m)
-argmax; the streaming scan's update is dense, so its step stays O(m d).
+neighbors; an exact marginal within two hops of the pick, at the rows
+holding an edge to one of those neighbors. CELF keeps its own bounds and
+refreshes stale heap tops in batches. An exact marginal is its row's own
+CSR segment sum, whether computed in a full pass, in the two-hop refresh
+or in a CELF batch, so all three agree bit for bit. So a surrogate step
+costs a refresh over the pick's neighbors plus one O(m) argmax; the
+streaming scan's update is dense, so its step stays O(m d).
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -48,6 +52,8 @@ from .simgraph import NeighborGraph, edge_rule, unit_rows
 _ALL = slice(None)
 _NOWHERE = slice(0)
 _FIRST = np.zeros(1, dtype=np.intp)
+_CELF_BATCH = 16  # stale heap tops refreshed per call
+_FILL_EDGES = 1 << 20  # edges per block of a first fill of exact marginals
 
 
 class Utility:
@@ -211,6 +217,41 @@ def _self_gains(conf: np.ndarray, u: Utility):
     return lambda cn, rows: u(cn[rows] + conf[rows]) - u(cn[rows])
 
 
+def _segments(G: NeighborGraph, rows: np.ndarray):
+    """The positions of the stored edges of ``rows``, row after row in the
+    order given, with each row's count of them and its segment's start."""
+    lo = G.indptr[rows]
+    counts = G.indptr[rows + 1] - lo
+    starts = np.cumsum(counts) - counts
+    return np.arange(starts[-1] + counts[-1]) + np.repeat(lo - starts, counts), counts, starts
+
+
+def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
+    """Exact marginals at ``rows``: all rows, or any ids gathered segment by
+    segment. A row's marginal is its own segment sum either way, so the
+    two agree bit for bit."""
+    def gains_at(cn: np.ndarray, rows) -> np.ndarray:
+        if rows is _ALL:  # in blocks of about _FILL_EDGES edges, to bound the temporaries
+            step = max(1, _FILL_EDGES * G.m // max(G.nnz, 1))
+            return np.concatenate([gains_at(cn, np.arange(a, min(a + step, G.m)))
+                                   for a in range(0, G.m, step)])
+        at, counts, starts = _segments(G, rows)
+        inc = G.weights[at] * np.repeat(conf[rows], counts)  # w(x, j) C[x] in float64
+        return _marginals(cn, G.indices[at], inc, starts, u)
+    return gains_at
+
+
+def _two_hop(G: NeighborGraph):
+    """Reach of an exact marginal: the update moved cn at the pick's
+    neighbors, and only rows holding an edge to one of them can see it.
+    By symmetry those are the ids in the neighbors' own CSR rows."""
+    def reach(rows: np.ndarray) -> np.ndarray:
+        hit = np.zeros(G.m, dtype=bool)
+        hit[G.indices[_segments(G, rows)[0]]] = True
+        return np.flatnonzero(hit)
+    return reach
+
+
 def _best_of(groups):
     """Pick policy: the candidate of highest gain in the next (rows, ids)
     group, cycling over the groups (all rows, or one group per label
@@ -227,11 +268,13 @@ def _best_of(groups):
     return pick
 
 
-def _celf(G: NeighborGraph, C: ConfidenceVector, u: Utility):
+def _celf(gains_at):
     """Lazy pick policy: stale exact gains are upper bounds by
     submodularity, so the heap top only needs refreshing until the
     freshest entry stays on top. The first pick fills the heap from the
-    loop's gains; refreshes are one-row ``exact_gain`` calls."""
+    loop's gains; each refresh pops up to ``_CELF_BATCH`` consecutive
+    stale tops and recomputes them in one ``gains_at`` call. The
+    (-gain, index) keys keep ties on the lowest index."""
     heap: list[tuple[float, int, int]] = []
 
     def pick(state: SelectionState, gains: np.ndarray) -> tuple[int, float]:
@@ -240,8 +283,11 @@ def _celf(G: NeighborGraph, C: ConfidenceVector, u: Utility):
             heap[:] = [(-g, x, 0) for x, g in enumerate(gains.tolist())]
             heapq.heapify(heap)
         while heap[0][2] != step:
-            x = heap[0][1]
-            heapq.heapreplace(heap, (-exact_gain(G, C, state, x, u), x, step))
+            stale = []
+            while heap and heap[0][2] != step and len(stale) < _CELF_BATCH:
+                stale.append(heapq.heappop(heap)[1])
+            for x, g in zip(stale, gains_at(state.cn, np.array(stale)).tolist()):
+                heapq.heappush(heap, (-g, x, step))
         neg_g, x, _ = heapq.heappop(heap)
         return x, -neg_g
     return pick
@@ -273,8 +319,9 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update, gains_at,
             reach=None) -> SelectionResult:
     """The greedy loop, over a budget clamped to the population. The pick
     policy reads ``gains``, each candidate's gain and -inf once selected:
-    the first step fills it with ``gains_at(cn, rows)``, each later step
-    refreshes it at ``reach``, by default the rows the last update returned.
+    the first step fills it with ``gains_at(cn, _ALL)``, each later step
+    refreshes it at ``reach(rows)`` of the rows the last update returned,
+    by default at those rows.
     wall_times cover each step's refresh, pick and update. The objective
     trace, kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over
     the rows it reached."""
@@ -288,14 +335,16 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update, gains_at,
     while len(state.selected) < state.budget:
         t0 = time.perf_counter()
         if at is not _NOWHERE:
-            gains[at] = np.where(state.selected_mask[at], -np.inf, gains_at(state.cn, at))
+            fresh = gains_at(state.cn, at)
+            fresh[state.selected_mask[at]] = -np.inf
+            gains[at] = fresh
         x, g = pick(state, gains)
         gains[x] = -np.inf  # also when the update does not reach x
         rows, inc = update(state.cn, x)
         state.selected_mask[x] = True
         state.selected.append(x)
         wall_times.append(time.perf_counter() - t0)
-        at = rows if reach is None else reach
+        at = rows if reach is None else reach(rows)
         hit = inc > 0.0  # the scan's inc is dense, zero off the pick's edges
         after, inc = state.cn[rows][hit], inc[hit]
         total += float((u(after) - u(after - inc)).sum())
@@ -325,9 +374,7 @@ def select(
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
         gains_at, reach = _self_gains(C.values, u), None
     else:  # an exact marginal moves wherever a neighbor's cn moved
-        inc = G.weights.astype(np.float64) * C.values[G.row_ids()]  # w(x, j) C[x] per edge
-        gains_at = lambda cn, rows: _marginals(cn, G.indices, inc, G.indptr[:-1], u)[rows]  # noqa: E731
-        reach = _ALL
+        gains_at, reach = _exact_gains(G, C.values, u), _two_hop(G)
     if cfg.balanced:
         # one stable sort: each present class's members in ascending index,
         # classes in id order; ids with no members form no group
@@ -335,7 +382,7 @@ def select(
         members = np.split(by_class, np.flatnonzero(np.diff(labels.values[by_class])) + 1)
         pick = _best_of((r, r) for r in members)
     elif cfg.rule == "lazy":  # CELF keeps its own bounds
-        pick, reach = _celf(G, C, u), _NOWHERE
+        pick, reach = _celf(gains_at), lambda rows: _NOWHERE
     else:
         pick = _best_of([(_ALL, range(G.m))])
     return _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values), gains_at, reach)

@@ -66,8 +66,8 @@ class NeighborGraph:
         return int(self.indices.size)
 
     def row_ids(self) -> np.ndarray:
-        """The row of each stored edge, aligned with ``indices``."""
-        return np.repeat(np.arange(self.m, dtype=np.int64), np.diff(self.indptr))
+        """The row of each stored edge, aligned with ``indices`` (int32)."""
+        return np.repeat(np.arange(self.m, dtype=np.int32), np.diff(self.indptr))
 
     def dense_weights(self) -> np.ndarray:
         """Materialize the m x m weight matrix (small instances only)."""
@@ -76,7 +76,14 @@ class NeighborGraph:
         return W
 
     def validate(self) -> None:
-        """Accept exactly what ``build_graph`` writes."""
+        """Accept exactly what ``build_graph`` writes, in O(nnz).
+
+        Symmetry with equal weights holds when the upper edges (column >
+        row), in row-major order and sorted stably by column, are the lower
+        edges (column < row) in row-major order with row and column
+        swapped. The stable sort is an LSD radix sort over 16-bit digits
+        (numpy sorts types of 16 bits or fewer stably by radix): one pass
+        while m <= 2^16, two below 2^31."""
         if self.indptr.shape != (self.m + 1,) or self.indptr[0] != 0:
             raise DataError("graph: malformed row offsets")
         if np.any(np.diff(self.indptr) < 0):
@@ -85,25 +92,40 @@ class NeighborGraph:
             raise DataError("graph: index/weight arrays inconsistent with offsets")
         if not (0.0 < self.tau <= 1.0):
             raise DataError(f"graph: tau {self.tau} outside (0, 1]")
-        if self.nnz and (self.indices.min() < 0 or self.indices.max() >= self.m):
+        cols, w = self.indices, self.weights
+        if self.nnz and (cols.min() < 0 or cols.max() >= self.m):
             raise DataError(f"graph: column id outside [0, {self.m})")
-        w = self.weights
-        if w.size and (w.min() < edge_threshold(self.tau) or w.max() > 1.0):
+        w_lo, w_hi = (w.min(), w.max()) if w.size else (1.0, 1.0)
+        if w_lo < edge_threshold(self.tau) or w_hi > 1.0:
             raise DataError("graph: edge weight outside [tau, 1]")
         rows = self.row_ids()
+        loops = np.flatnonzero(cols == rows)
         looped = np.zeros(self.m, dtype=bool)
-        looped[rows[self.indices == rows]] = True
+        looped[rows[loops]] = True
         if not looped.all():
             raise DataError(f"graph: missing self-loop at row {int(np.argmin(looped))}")
-        key = rows * self.m + self.indices
-        if (key[1:] <= key[:-1]).any():
+        rising = cols[1:] > cols[:-1]
+        rising[self.indptr[1:-1] - 1] = True  # every row holds its self-loop, so none is empty
+        if not rising.all():
             raise DataError("graph: column ids not strictly increasing within a row")
-        # Symmetry incl. identical weights: with unique keys, the transposed
-        # keys sorted must reproduce the keys, carrying equal weights along.
-        key_t = self.indices * np.int64(self.m) + rows  # in int32, m > 46341 would overflow
-        del rows  # at most four edge-length int64 arrays live at once
-        fwd = np.argsort(key_t)
-        if not np.array_equal(key_t[fwd], key) or not np.array_equal(w[fwd], w):
+        del rising
+        # one self-loop per row now, after the row's lower edges
+        lower_per_row = loops - self.indptr[:-1]
+        up = cols > rows
+        up_rows, up_cols, up_w = rows[up], cols[up], w[up]
+        del up
+        lower = cols < rows
+        del rows
+        by_col = np.argsort(up_cols.astype(np.uint16), kind="stable")
+        if self.m > 1 << 16:
+            high = (up_cols >> 16).astype(np.uint16)[by_col]
+            by_col = by_col[np.argsort(high, kind="stable")]
+        # The sorted upper columns are the lower edges' rows when the counts
+        # per row agree. A NaN weight passes the range check but equals nothing.
+        if (np.isnan(w_lo)
+                or not np.array_equal(np.bincount(up_cols, minlength=self.m), lower_per_row)
+                or not np.array_equal(up_rows[by_col], cols[lower])
+                or not np.array_equal(up_w[by_col], w[lower])):
             raise DataError("graph: adjacency is not symmetric")
 
 

@@ -308,6 +308,20 @@ class TestOracleCommand:
         ])
         assert rc == 4
 
+    @pytest.mark.parametrize("budget,confidence,code", [(20, 0.5, 4), (2, 9.0, 3)])
+    def test_checks_run_before_the_build(self, tmp_path, monkeypatch, budget, confidence, code):
+        # an oversize budget and an out-of-range confidence need no graph
+        emb, conf = tmp_path / "e.bin", tmp_path / "c.txt"
+        rows = np.random.default_rng(0).standard_normal((50, 4)).astype(np.float32)
+        write_matrix_binary(emb, rows)
+        write_vector_text(conf, np.full(50, confidence))
+
+        def no_build(*_):
+            raise AssertionError("graph built before the checks")
+        monkeypatch.setattr(simgraph, "build_graph", no_build)
+        assert main(["oracle", "--embeddings", str(emb), "--confidences", str(conf),
+                     "--budget", str(budget), "--tau", "0.5"]) == code
+
 
 class TestFileErrors:
     def test_missing_input_exits_3(self, fixture_files, capsys):

@@ -279,13 +279,47 @@ class TestSelect:
         assert r.objective_trace == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_lazy_equals_exact(self):
-        for seed in range(15):
-            E, C, _, _ = oracle.random_instance(seed, m=60, d=8, c=4, cluster_spread=0.3)
+        instances = [oracle.random_instance(seed, m=60, d=8, c=4, cluster_spread=0.3)[:2]
+                     for seed in range(15)]
+        E = rescaled_duplicates(seed=3)  # four copies of each row: tied gains
+        instances.append((E, ConfidenceVector(np.tile(np.linspace(0.2, 0.9, 12), 4))))
+        for E, C in instances:
             G = build_graph(E, 0.6)
-            a = select(G, C, None, SelectionConfig(budget=12, tau=0.6, rule="exact"))
-            b = select(G, C, None, SelectionConfig(budget=12, tau=0.6, rule="lazy"))
+            a = select(G, C, None, SelectionConfig(budget=24, tau=0.6, rule="exact"))
+            b = select(G, C, None, SelectionConfig(budget=24, tau=0.6, rule="lazy"))
             assert a.order == b.order
-            assert a.gains == b.gains  # refreshes and the vectorized pass agree bit for bit
+            assert a.gains == b.gains  # batched refreshes and two-hop ones agree bit for bit
+            assert a.objective_trace == b.objective_trace
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
+    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, balanced,
+                                                         fill_edges):
+        # the loop refreshes exact marginals within two hops of each pick,
+        # and fills them in blocks of rows; every step's gains must equal,
+        # bit for bit, one reduceat over the whole CSR on that step's cn
+        u, best_of, steps = Utility.tanh(), pruner._best_of, []
+        monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
+        for seed in range(6):
+            E, C, labels, _ = oracle.random_instance(seed, m=120, d=6, c=3, cluster_spread=0.3,
+                                                     noise_fraction=0.2)
+            G = build_graph(E, 0.6)
+            inc = G.weights.astype(np.float64) * C.values[G.row_ids()]
+
+            def checked(groups):
+                pick = best_of(groups)
+
+                def wrapped(state, gains):
+                    full = pruner._marginals(state.cn, G.indices, inc, G.indptr[:-1], u)
+                    full[state.selected_mask] = -np.inf
+                    assert np.array_equal(gains, full)
+                    steps.append(len(state.selected))
+                    return pick(state, gains)
+                return wrapped
+            monkeypatch.setattr(pruner, "_best_of", checked)
+            cfg = SelectionConfig(budget=60, tau=0.6, rule="exact", balanced=balanced)
+            select(G, C, labels if balanced else None, cfg)
+        assert steps == list(range(60)) * 6
 
     @pytest.mark.parametrize("rule,balanced", [
         ("surrogate", False), ("exact", False), ("surrogate", True), ("exact", True),
@@ -340,8 +374,9 @@ class TestSelect:
         monkeypatch.setattr(pruner, "_marginals",
                             lambda *a: segments.append(a[3].size) or marginals(*a))
         select(G, C, None, SelectionConfig(budget=40, tau=0.6, rule="lazy"))
-        assert segments.count(G.m) == 1  # the fill; CELF refreshes one row at a time
-        assert set(segments) == {1, G.m}
+        assert G.nnz < pruner._FILL_EDGES and segments[0] == G.m  # the fill, in one block
+        assert all(1 <= n <= pruner._CELF_BATCH for n in segments[1:])  # refresh batches
+        assert max(segments[1:]) > 1
 
     def test_lazy_wall_times_are_per_pick(self):
         E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,91 @@ class TestGraphCache:
 
 def graph_bytes(G):
     return G.indptr.tobytes(), G.indices.tobytes(), G.weights.tobytes()
+
+
+def hand_graph(m, edges, tau=0.9):
+    """A CSR graph with every self-loop (weight 1) and the given
+    (row, column, weight) edges, in row-major order."""
+    edges = sorted([(i, i, 1.0) for i in range(m)] + list(edges))
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount([i for i, _, _ in edges], minlength=m), out=indptr[1:])
+    return NeighborGraph(m=m, tau=tau, indptr=indptr,
+                         indices=np.array([j for _, j, _ in edges], dtype=np.int32),
+                         weights=np.array([w for _, _, w in edges], dtype=np.float32))
+
+
+def load_saved(tmp_path, G):
+    p = tmp_path / "g.bin"
+    save_graph(p, G)
+    return load_graph(p)
+
+
+class TestValidate:
+    """``validate`` sorts the upper edges by column with a 16-bit radix:
+    one pass up to m = 2^16, two passes above."""
+
+    # upper edges (0, 3), (k, k + 2^16): by the low 16 bits alone, the
+    # column 3 would sort after the columns 2^16 + 1 and 2^16 + 2
+    M = 70_000
+    PAIRS = [(0, 3)] + [(k, k + (1 << 16)) for k in range(1, 5)]
+
+    def mirrored(self, skip=None, weight=None):
+        edges = []
+        for i, j in self.PAIRS:
+            edges.append((i, j, 0.95))
+            if (j, i) != skip:
+                edges.append((j, i, 0.95 if (j, i) != weight else 0.96))
+        return hand_graph(self.M, edges)
+
+    def test_ids_above_bit_16_load(self, tmp_path):
+        G = self.mirrored()
+        assert graph_bytes(load_saved(tmp_path, G)) == graph_bytes(G)
+
+    @pytest.mark.parametrize("skip,weight", [((65537, 1), None), (None, (65538, 2)),
+                                             ((3, 0), None), (None, (3, 0))])
+    def test_missing_or_unequal_mirror_rejected(self, tmp_path, skip, weight):
+        with pytest.raises(DataError, match="not symmetric"):
+            load_saved(tmp_path, self.mirrored(skip, weight))
+
+    @pytest.mark.parametrize("m", [5, 70_000])
+    @pytest.mark.parametrize("lower", [[(3, 1), (4, 0)],   # each mirror in the other's row
+                                       [(4, 0), (4, 1)]])  # same columns, in one row
+    def test_mirror_in_another_row_rejected(self, tmp_path, m, lower):
+        # upper edges (0, 3) and (1, 4), and as many lower edges
+        edges = [(i, j, 0.95) for i, j in [(0, 3), (1, 4)] + lower]
+        with pytest.raises(DataError, match="not symmetric"):
+            load_saved(tmp_path, hand_graph(m, edges))
+
+    def test_nan_weight_rejected(self, tmp_path):
+        G = hand_graph(3, [(0, 1, 0.95), (1, 0, 0.95)])
+        w = G.weights.copy()
+        w[-1] = np.nan  # the self-loop of row 2
+        with pytest.raises(DataError, match="not symmetric"):
+            load_saved(tmp_path, replace(G, weights=w))
+
+    @pytest.mark.parametrize("where", [slice(0, 2), slice(-2, None)])
+    @pytest.mark.parametrize("change", ["duplicate", "swap"])
+    def test_duplicated_or_unsorted_column_rejected(self, tmp_path, where, change):
+        # row 2 holds columns 0, 1, 2, 3, 4; change its first or last two
+        G = hand_graph(6, [(i, j, 0.95) for i in range(5) for j in range(5) if i != j])
+        row = G.indices[G.indptr[2]:G.indptr[3]]
+        head = row[where]
+        head[:] = head[::-1] if change == "swap" else head[0]
+        with pytest.raises(DataError, match="column ids not strictly increasing within a row"):
+            load_saved(tmp_path, G)
+
+    def test_peak_memory_per_edge(self):
+        # the int64 key check this replaced peaked at 33 bytes per edge
+        E = random_instance(0, m=3000, d=16, c=4, cluster_spread=0.05)[0]
+        G = build_graph(E, 0.9)
+        assert G.nnz > 200 * G.m, "precondition: edges dominate the O(m) arrays"
+        tracemalloc.start()
+        try:
+            G.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * G.nnz, f"{peak / G.nnz:.1f} bytes per edge"
 
 
 def whole_matrix_graph(E, tau):
