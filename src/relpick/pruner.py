@@ -305,9 +305,11 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
     return update
 
 
-def _similarity_scan(U: np.ndarray, conf: np.ndarray, rule):
+def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
+    rule, everyone = edge_rule(U, tau), range(len(U))
+
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-        js, w32 = rule((U @ U[x])[None], x)  # the graph's edge rule, on one row
+        js, w32 = rule((U @ U[x])[None], (x,), everyone)  # the graph's edge rule, on one row
         inc = np.zeros_like(cn)
         inc[js] = w32 * conf[x]
         cn += inc  # dense, like the scan: a sparse update skews per-step cost
@@ -400,7 +402,7 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
     if C.m != E.m:
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
-    update = _similarity_scan(unit_rows(E), C.values, edge_rule(cfg.tau))
+    update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
     return _greedy(E.m, cfg, u, _best_of([(_ALL, range(E.m))]), update, _self_gains(C.values, u))
 
 

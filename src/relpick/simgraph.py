@@ -1,22 +1,38 @@
 """Thresholded cosine-similarity neighborhood graph.
 
-The graph is exact: every pair whose cosine similarity, rounded to its
-stored float32 weight, reaches the threshold ``tau`` gets an edge,
-including the self-loop with weight exactly 1 (``edge_weights`` holds
-this rule for the build and for the streaming scan alike). The rule
-screens the float64 cosines against ``edge_floor(tau)``, the smallest
-float64 whose float32 rounding reaches ``edge_threshold(tau)``, and casts
-only the survivors to float32.
+The graph is exact, and an edge and its weight depend on the pair alone.
+The weight of (i, j) is the exact dot product of the unit rows U[i] and
+U[j], rounded once to float32 (a self-loop's rounds to 1), and (i, j) is
+an edge when that weight reaches ``edge_threshold(tau)``. ``edge_weights``
+holds this rule for the build and for the streaming scan alike. A float64
+cosine summed in any order lies within gamma_d = d*u / (1 - d*u) of the
+exact value (u = 2^-53), so the rule screens float64 cosines at
+``edge_floor(tau)`` less a band of twice that, casts the survivors to
+float32, and recomputes exactly, with a ``Fraction`` sum, only those
+within the band of a float32 rounding midpoint, about one pair in two
+million edges. No edge or weight depends on the BLAS kernel or on the
+block layout. (``unit_rows`` uses numpy's norm, so the rule is pure on
+one machine, not across CPUs.)
 
-Construction is the brute-force O(m^2 d) pairwise scan in float64 over
-the upper triangle only: a block of rows i is multiplied against rows
-j >= i, and each edge found above the diagonal is mirrored into row j.
-A block holds at most 64 MiB of cosines, or one row when a row is
-larger, whatever m is. The CSR is assembled in O(nnz) plus one stable
-sort of the upper edges' column ids: row i holds its mirrored edges
-(columns < i), then its self-loop and the edges it found (columns >= i),
-so columns are sorted per row. The result is deterministic and
-independent of the block size. Stored weights always lie in [tau, 1].
+Construction skips the pairs that the triangle inequality on the sphere
+proves cannot be edges (threshold pruning after Bayardo et al., WWW
+2007, and Elkan, ICML 2003). Rows are leader-clustered in index order: a
+row with no leader within ``_BALL_ANGLE`` (45 degrees) becomes one, up
+to ``_MAX_LEADERS``, and each row joins its nearest leader within that
+angle. A leader with two or more members makes a ball: centre the
+normalized centroid, radius the widest member angle. The rows are
+permuted ball by ball, and then the loose rows, each in index order. A
+ball's rows are multiplied against the ball and against the later rows
+whose angle to its centre is at most its radius plus the widest edge
+angle plus a slack, and the loose rows against the later loose rows, in
+float64 over the upper triangle of that order; each edge is mirrored.
+With no balls this is the full O(m^2 d) upper-triangle build. A block
+holds at most 32 MiB of cosines, or one row when a row is larger,
+whatever m is. The edges are put in row-major order by LSD radix sorts
+over 16-bit digits, and the CSR is assembled in O(nnz): row i holds its
+mirrored edges (columns < i), then its self-loop and the edges it found
+(columns >= i), so columns are sorted per row. Stored weights always lie
+in [tau, 1].
 
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
 in the cache, so m must stay below 2^31. Row offsets are int64.
@@ -29,10 +45,13 @@ ids) included, is refused with a request to rebuild the cache.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +61,11 @@ from .dataspec import EmbeddingMatrix
 
 GRAPH_MAGIC = b"RELGRPH2"
 
-_BLOCK_BYTES = 64 << 20  # float64 cosines per build block, unless one row is larger
+_BLOCK_BYTES = 32 << 20  # float64 cosines per build block, unless one row is larger
+_BALL_ANGLE = math.radians(45.0)  # R0: a row joins its nearest leader within this angle
+_MAX_LEADERS = 256  # after that many leaders, a row with none within R0 stays loose
+_ANGLE_SLACK = 1e-6  # radians added to every pruning bound
+_SCAN_ROWS = 1024  # rows per block of the leader scan and the ball tests
 
 
 @dataclass(frozen=True)
@@ -116,10 +139,7 @@ class NeighborGraph:
         del up
         lower = cols < rows
         del rows
-        by_col = np.argsort(up_cols.astype(np.uint16), kind="stable")
-        if self.m > 1 << 16:
-            high = (up_cols >> 16).astype(np.uint16)[by_col]
-            by_col = by_col[np.argsort(high, kind="stable")]
+        by_col = _stable_order(up_cols, self.m)
         # The sorted upper columns are the lower edges' rows when the counts
         # per row agree. A NaN weight passes the range check but equals nothing.
         if (np.isnan(w_lo)
@@ -157,26 +177,68 @@ def edge_floor(tau: float) -> float:
     return mid if np.float32(mid) >= t32 else float(np.nextafter(mid, np.inf))
 
 
-def edge_weights(sims: np.ndarray, first: int, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """The edge rule on a float64 block of cosines whose row k has its
-    self-loop in column first + k: sets the self-loops to 1 in place and
-    returns the edges' positions in the raveled block and their float32
-    weights. No clip: cosines a few ulp above 1 round to 1.0, and those
-    below -1 are never edges (tau > 0)."""
-    np.fill_diagonal(sims[:, first:], 1.0)
-    flat = np.flatnonzero(sims >= floor)
-    return flat, sims.ravel()[flat].astype(np.float32)
+def rounding_band(d: int) -> float:
+    """Twice gamma_d = d*u / (1 - d*u), u = 2^-53. A float64 dot product of
+    two unit rows of length d, summed in any order, with or without FMA,
+    lies within gamma_d of the exact value; the factor two also covers the
+    rows' norms, a few ulp from 1, and the rounding of cos +- band."""
+    du = d * 2.0 ** -53
+    return 2 * du / (1 - du)
 
 
-def edge_rule(tau: float):  # edge_weights with floor = edge_floor(tau) computed once
-    return partial(edge_weights, floor=edge_floor(tau))
+def exact_weight(u: np.ndarray, v: np.ndarray) -> np.float32:
+    """The float32 nearest the exact dot product of two float64 vectors,
+    ties to even: a Fraction sum of the products, rounded once (rounding
+    through float64 could round twice)."""
+    x = sum(map(mul, map(Fraction, u.tolist()), map(Fraction, v.tolist())), Fraction(0))
+    w = np.float32(float(x))  # the nearest float32 is w or one of its neighbors
+    steps = (np.nextafter(w, np.float32(-np.inf)), w, np.nextafter(w, np.float32(np.inf)))
+    return min(steps, key=lambda f: (abs(Fraction(float(f)) - x), int(f.view(np.uint32)) & 1))
+
+
+def edge_weights(sims: np.ndarray, rows, cols, U: np.ndarray,
+                 floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The edge rule on a C-contiguous float64 block of cosines summed in
+    any order, sims[k, l] ~ U[rows[k]] . U[cols[l]]: returns the edges'
+    positions in the raveled block and their float32 weights.
+
+    A pair's weight is its exact cosine rounded once to float32, so a
+    self-loop weighs 1 and no weight depends on the BLAS kernel. The
+    block is screened at floor - rounding_band(d). A survivor whose
+    cos - band and cos + band round to one float32 takes that weight; the
+    others lie within the band of a float32 rounding midpoint and are
+    recomputed by ``exact_weight``. rows and cols map block positions to
+    rows of U (ranges will do); only the recomputed pairs read them."""
+    band = rounding_band(U.shape[1])
+    flat = (sims >= floor - band).ravel().nonzero()[0]
+    cos = sims.take(flat)
+    w32 = (cos + band).astype(np.float32)
+    for k in ((cos - band).astype(np.float32) != w32).nonzero()[0].tolist():
+        r, c = divmod(int(flat[k]), sims.shape[1])
+        w32[k] = exact_weight(U[rows[r]], U[cols[c]])
+    keep = w32 >= floor  # w32 >= edge_threshold(tau): the floor lies above the float32 below it
+    return flat[keep], w32[keep]
+
+
+def edge_rule(U: np.ndarray, tau: float):  # edge_weights on the rows U, floor computed once
+    return partial(edge_weights, U=U, floor=edge_floor(tau))
 
 
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
-    own, col, w = _upper_edges(E, edge_rule(tau))
-    m = own.size
+    rows, col, w = _upper_edges(E, edge_floor(tau))
+    m = E.m
+    by_row = _stable_order(rows, m, _stable_order(col, m))
+    own = np.bincount(rows, minlength=m)
+    del rows
+    col = col[by_row]  # row-major from here on
+    w = w[by_row]
+    del by_row
+    # A stable sort by column lists each column j's edges in ascending row i,
+    # ending with the self-loop (j, j): row j's head, the self-loop included.
+    # Sorted before the CSR is allocated, its temporaries stay off the peak.
+    by_col = _stable_order(col, m)
     mirrored = np.bincount(col, minlength=m) - 1  # less the self-loop
     indptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(own + mirrored, out=indptr[1:])
@@ -186,37 +248,136 @@ def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     # The own edges and the self-loop fill the row's tail in row-major order.
     tail = _in_ranges(indptr[:-1] + mirrored, indptr[1:], indptr[-1])
     indices[tail], weights[tail] = col, w
-    del tail
-    # A stable sort by column lists each column j's edges in ascending row i,
-    # ending with the self-loop (j, j): row j's head, the self-loop included.
-    by_col = np.argsort(col, kind="stable")
-    del col
+    del tail, col
     head = _in_ranges(indptr[:-1], indptr[:-1] + mirrored + 1, indptr[-1])
     indices[head] = np.repeat(np.arange(m, dtype=np.int32), own)[by_col]
     weights[head] = w[by_col]
     return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=indices, weights=weights)
 
 
-def _upper_edges(E: EmbeddingMatrix, rule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges (i, j) with i <= j, the self-loops included, in row-major
-    order: the count per row i, the column ids and the float32 weights.
-    A block of rows i is multiplied only against the rows j >= i."""
+def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges (i, j) with i <= j, the self-loops included, in no set
+    order: row ids, column ids (int32) and float32 weights. Each group's
+    rows, in the ball-ordered rows P, are multiplied in blocks against
+    their own rows and the group's later columns; each block keeps its
+    upper triangle."""
     U = unit_rows(E)
-    m = U.shape[0]
-    step = max(1, _BLOCK_BYTES // (8 * m))  # rows per block
-    buf = np.empty(min(step, m) * m)  # one block of cosines, reused: no page faults per block
-    own = np.zeros(m, dtype=np.int64)
-    cols, ws = [], []
-    for start in range(0, m, step):
-        block, width = U[start:start + step], m - start
-        sims = buf[:len(block) * width].reshape(len(block), width)
-        flat, w32 = rule(np.matmul(block, U[start:].T, out=sims), 0)
-        r, c = np.divmod(flat, width)
-        upper = c >= r  # the block's diagonal square below it is mirrored from earlier rows
-        own[start:start + len(block)] = np.bincount(r[upper], minlength=len(block))
-        cols.append((c[upper] + start).astype(np.int32))
-        ws.append(w32[upper])
-    return own, np.concatenate(cols), np.concatenate(ws)
+    m = len(U)
+    perm, bounds = _leader_balls(U)
+    P = U[perm]
+    del U
+    groups = _groups(P, bounds, floor)
+    width = [hi - lo + later.size for lo, hi, later in groups]
+    steps = [max(1, _BLOCK_BYTES // (8 * w)) for w in width]
+    buf = np.empty(max(min(step, hi - lo) * w for (lo, hi, _), step, w in zip(groups, steps, width)))
+    rule = partial(edge_weights, U=P, floor=floor)
+    perm = perm.astype(np.int32)
+    # (row, column, weight bits) records, written in place into segments of
+    # twice a block's bytes: blocks' edge lists kept for one concatenation
+    # would leave their memory scattered in the heap, and growing one array
+    # would copy it
+    seg = max(1, min(m * (m + 1) // 2, 2 * _BLOCK_BYTES // 12))
+    parts, found, n = [], np.empty((seg, 3), np.int32), 0
+    for (lo, hi, later), step in zip(groups, steps):
+        at = np.concatenate([np.arange(lo, hi), later])  # column positions in P
+        X = P[lo:hi] if not later.size else P[at]
+        for start in range(lo, hi, step):
+            block = range(start, min(start + step, hi))
+            flat, w32 = rule(_cosines(P[block.start:block.stop], X[start - lo:], buf),
+                             block, at[start - lo:])
+            r, c = divmod(flat, len(X) - (start - lo))
+            upper = c >= r  # a block's first columns are its own rows
+            i, j = perm[start + r[upper]], perm[at[start - lo + c[upper]]]
+            if n + i.size > len(found):
+                parts.append(found[:n])
+                found, n = np.empty((max(seg, i.size), 3), np.int32), 0
+            np.minimum(i, j, out=found[n:n + i.size, 0])
+            np.maximum(i, j, out=found[n:n + i.size, 1])
+            found[n:n + i.size, 2] = w32[upper].view(np.int32)
+            n += i.size
+    del buf, P, X
+    parts.append(found[:n])
+    found = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return found[:, 0], found[:, 1], found[:, 2].view(np.float32)
+
+
+def _groups(P: np.ndarray, bounds: np.ndarray, floor: float) -> list:
+    """(lo, hi, later) for each ball, rows lo..hi-1 of P, and for the loose
+    rows: the rows to multiply against themselves, and the later rows they
+    may hold edges with. Those are every later row for the loose rows and,
+    for a ball, the later rows whose angle to its centre (the normalized
+    centroid) is within its radius (the widest member angle) plus
+    arccos(floor - band), the widest angle of an edge, plus a slack of
+    _ANGLE_SLACK + 4 sqrt(band): arccos turns a cosine error e into an
+    angle error of at most sqrt(2e). The triangle inequality on the sphere
+    rules out every other pair."""
+    m, d = P.shape
+    band = rounding_band(d)
+    balls = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+    centres = np.array([P[lo:hi].sum(axis=0) for lo, hi in balls]).reshape(-1, d)
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    radii = np.array([math.acos(min(1.0, float((P[lo:hi] @ centre).min())))
+                      for (lo, hi), centre in zip(balls, centres)])
+    reach = radii + math.acos(floor - band) + _ANGLE_SLACK + 4 * math.sqrt(band)
+    cos_reach = np.where(reach < math.pi, np.cos(np.minimum(reach, math.pi)), -np.inf)[:, None]
+    near = np.empty((len(balls), m), dtype=bool)  # near[b, j]: row j may reach ball b
+    for s in range(0, m, _SCAN_ROWS):
+        np.greater_equal(centres @ P[s:s + _SCAN_ROWS].T, cos_reach, out=near[:, s:s + _SCAN_ROWS])
+    groups = [(lo, hi, hi + np.flatnonzero(near[b, hi:])) for b, (lo, hi) in enumerate(balls)]
+    if bounds[-1] < m:
+        groups.append((int(bounds[-1]), m, np.empty(0, dtype=np.intp)))
+    return groups
+
+
+def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """A @ B.T in float64 into the front of buf: the build's one GEMM."""
+    return np.matmul(A, B.T, out=buf[:len(A) * len(B)].reshape(len(A), len(B)))
+
+
+def _leader_balls(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leader clustering in index order, in blocks of _SCAN_ROWS rows: a row
+    with no leader within _BALL_ANGLE becomes one, until there are
+    _MAX_LEADERS, and every row joins its nearest leader within that angle.
+    Returns the order that lists each ball (a leader with two or more
+    members, in leader order) and then the loose rows, each in index
+    order, and the balls' offsets into it."""
+    m = len(U)
+    cos_r0 = math.cos(_BALL_ANGLE)
+    leaders = []
+    for s in range(0, m, _SCAN_ROWS):
+        if len(leaders) == _MAX_LEADERS:
+            break
+        block = U[s:s + _SCAN_ROWS]
+        free = np.flatnonzero((block @ U[leaders].T).max(axis=1, initial=-np.inf) < cos_r0)
+        while free.size and len(leaders) < _MAX_LEADERS:
+            leaders.append(s + int(free[0]))
+            free = free[(block @ block[free[0]])[free] < cos_r0]  # the leader itself goes too
+    L = U[leaders]
+    owner = np.empty(m, dtype=np.intp)
+    for s in range(0, m, _SCAN_ROWS):
+        cos = U[s:s + _SCAN_ROWS] @ L.T
+        best = cos.argmax(axis=1)
+        owner[s:s + _SCAN_ROWS] = np.where(cos.max(axis=1) >= cos_r0, best, len(leaders))
+    size = np.bincount(owner, minlength=len(leaders) + 1)[:-1]
+    ball = size >= 2
+    n = int(ball.sum())  # the loose rows' group: singletons and rows with no leader
+    group = np.append(np.where(ball, np.cumsum(ball) - 1, n), n)
+    order = np.argsort(group[owner].astype(np.uint16), kind="stable")
+    return order, np.concatenate([[0], np.cumsum(size[ball])])
+
+
+def _stable_order(keys: np.ndarray, m: int, order: np.ndarray | None = None) -> np.ndarray:
+    """``order`` (the identity by default) sorted stably by keys[order], for
+    integer keys in [0, m): an LSD radix over 16-bit digits, because numpy
+    sorts types of 16 bits or fewer stably by radix and wider ones by
+    timsort. One pass while m <= 2^16, two below 2^32."""
+    idx = np.int32 if keys.size < 1 << 31 else np.intp  # half the bytes of numpy's intp
+    for shift in range(0, max(m - 1, 1).bit_length(), 16):
+        digits = keys if order is None else keys[order]
+        step = np.argsort((digits >> shift if shift else digits).astype(np.uint16), kind="stable")
+        del digits
+        order = step.astype(idx) if order is None else order[step]
+    return order
 
 
 def _in_ranges(starts: np.ndarray, stops: np.ndarray, n: int) -> np.ndarray:
@@ -252,9 +413,8 @@ def save_graph(path: str | Path, G: NeighborGraph) -> None:
     with open(path, "wb") as f:
         f.write(GRAPH_MAGIC)
         f.write(struct.pack("<QdQ", G.m, G.tau, G.nnz))
-        f.write(np.ascontiguousarray(G.indptr, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(G.indices, dtype="<i4").tobytes())
-        f.write(np.ascontiguousarray(G.weights, dtype="<f4").tobytes())
+        for a, dtype in ((G.indptr, "<i8"), (G.indices, "<i4"), (G.weights, "<f4")):
+            np.ascontiguousarray(a, dtype=dtype).tofile(f)  # no copy when a has the dtype
 
 
 def load_graph(path: str | Path) -> NeighborGraph:

@@ -2,6 +2,7 @@ import math
 import struct
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from relpick import (
     ConfigError,
     DataError,
     EmbeddingMatrix,
+    SelectionConfig,
     Utility,
     build_graph,
     degree_stats,
     objective,
+    select,
     simgraph,
 )
 from relpick.errors import FormatError
 from relpick.oracle import naive_objective, random_instance
+from relpick.pruner import select_streaming
 from relpick.simgraph import (
     NeighborGraph,
     edge_floor,
@@ -28,7 +32,7 @@ from relpick.simgraph import (
     unit_rows,
 )
 
-from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
+from conftest import band_pair, boundary_pair, random_unit_rows, rescaled_duplicates
 
 
 def ulp_steps(x, k):
@@ -393,19 +397,19 @@ def whole_matrix_graph(E, tau):
 
 
 class TestEdgeKernel:
-    """One edge rule, ``edge_weights``, run by the build over upper-triangle
-    blocks bounded by bytes and by the streaming scan one row at a time."""
+    """One edge rule, ``edge_weights``, run by the build over blocks bounded
+    by bytes and by the streaming scan one row at a time."""
 
     @staticmethod
     def record_blocks(monkeypatch, cap):
-        """Set the block cap; return the list that collects each
-        (shape, dtype, first) ``build_graph`` hands to ``edge_weights``."""
-        seen, kernel = [], simgraph.edge_weights
+        """Set the block cap; return the list that collects each GEMM block's
+        (rows, columns, dtype) that ``build_graph`` computes."""
+        seen, gemm = [], simgraph._cosines
 
-        def recording(sims, first, floor):
-            seen.append((sims.shape, sims.dtype, first))
-            return kernel(sims, first, floor)
-        monkeypatch.setattr(simgraph, "edge_weights", recording)
+        def recording(A, B, buf):
+            seen.append((len(A), len(B), A.dtype))
+            return gemm(A, B, buf)
+        monkeypatch.setattr(simgraph, "_cosines", recording)
         monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
         return seen
 
@@ -418,9 +422,10 @@ class TestEdgeKernel:
         for E, tau in instances:
             reference = graph_bytes(whole_matrix_graph(E, tau))
             assert graph_bytes(build_graph(E, tau)) == reference
-            seen = self.record_blocks(monkeypatch, 8 * E.m * (E.m if rows == "all" else rows))
+            cap = 8 * E.m * (E.m if rows == "all" else rows)
+            seen = self.record_blocks(monkeypatch, cap)
             assert graph_bytes(build_graph(E, tau)) == reference
-            assert {shape[0] for shape, _, _ in seen[:-1]} <= {E.m if rows == "all" else rows}
+            assert all(8 * n * width <= max(cap, 8 * width) for n, width, _ in seen)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("cap", [1, 8 * 50 * 7 + 5, 64 << 20])
@@ -429,11 +434,20 @@ class TestEdgeKernel:
         E = random_instance(3, m=m, d=4, c=3)[0]
         seen = self.record_blocks(monkeypatch, cap)
         build_graph(E, 0.999)
-        assert all(dtype == np.float64 and first == 0 for _, dtype, first in seen)
-        assert all(8 * rows * width <= max(cap, 8 * m) for (rows, width), _, _ in seen)
-        # a block of rows start, start + 1, ... holds columns start .. m - 1
-        rows = [n for (n, _), _, _ in seen]
-        starts = [m - width for (_, width), _, _ in seen]
+        assert all(dtype == np.float64 for _, _, dtype in seen)
+        assert all(8 * rows * width <= max(cap, 8 * width) for rows, width, _ in seen)
+        assert all(width <= m for _, width, _ in seen)
+
+    @pytest.mark.parametrize("cap", [1, 8 * 60 * 7 + 5, 64 << 20])
+    def test_unclustered_rows_take_the_full_upper_triangle(self, monkeypatch, cap):
+        # no row lies within 45 degrees of another, so there is no ball: a
+        # block of rows start, start + 1, ... holds columns start .. m - 1
+        m = 60
+        E = random_instance(3, m=m, d=64, c=3, noise_fraction=1.0)[0]
+        seen = self.record_blocks(monkeypatch, cap)
+        assert graph_bytes(build_graph(E, 0.3)) == graph_bytes(whole_matrix_graph(E, 0.3))
+        rows = [n for n, _, _ in seen]
+        starts = [m - width for _, width, _ in seen]
         assert starts == list(range(0, m, max(1, cap // (8 * m))))
         assert starts == np.cumsum([0] + rows[:-1]).tolist() and sum(rows) == m
 
@@ -454,14 +468,143 @@ class TestEdgeKernel:
             fast = objective(G, C, S, Utility.tanh())
             assert fast == pytest.approx(naive_objective(E, C, 0.9, S, np.tanh), abs=1e-9)
 
-    def test_edge_weights_sets_self_loops_in_place(self):
-        floor = edge_floor(0.9)
-        sims = np.full((2, 5), 0.5)
-        sims[0, 0], sims[1, 4] = floor, np.nextafter(floor, -np.inf)  # on and below the floor
-        looped = sims.copy()
-        looped[0, 2] = looped[1, 3] = 1.0
-        flat, w32 = simgraph.edge_weights(sims, 2, floor)
-        assert np.array_equal(sims, looped)
-        assert flat.tolist() == [0, 2, 8]
+    def test_edge_weights_rounds_once_and_recomputes_the_band(self):
+        # row 0 of the band pair against columns 0, 1, 1, 0, 1: a cosine a few
+        # ulp above 1, the pair's rounding midpoint, a plain cosine, one just
+        # below the screen, and the floor of tau 0.5, a rounding midpoint
+        # too. Cosines at a midpoint are recomputed from U, whatever the
+        # block says.
+        E, exact = band_pair()
+        U, floor = unit_rows(E), edge_floor(0.5)
+        mid = float((math.floor(exact * 2 ** 24) + Fraction(1, 2)) / 2 ** 24)
+        below = np.nextafter(floor - simgraph.rounding_band(U.shape[1]), -np.inf)
+        sims = np.array([[1.0 + 2 ** -51, mid, 0.75 + 2 ** -30, below, floor]])
+        flat, w32 = simgraph.edge_weights(sims, (0,), [0, 1, 1, 0, 1], U, floor)
+        assert flat.tolist() == [0, 1, 2, 4]
         assert w32.dtype == np.float32
-        assert w32.tolist() == [edge_threshold(0.9), 1.0, 1.0]
+        w = float(exact_float32(exact))
+        assert w32.tolist() == [1.0, w, 0.75, w]
+
+    def test_exact_weight_rounds_once_ties_to_even(self):
+        mid = 0.75 + 2.0 ** -25  # between 0.75 (even) and 0.75 + 2^-24
+        assert simgraph.exact_weight(np.array([1.0]), np.array([mid])) == np.float32(0.75)
+        # 2^-80 above the midpoint: float64 drops it, so rounding through
+        # float64 would tie to 0.75
+        up = simgraph.exact_weight(np.array([1.0, 2.0 ** -40]), np.array([mid, 2.0 ** -40]))
+        assert up == np.float32(0.75 + 2.0 ** -24)
+
+
+def exact_float32(x):
+    """The float32 nearest x in [0.5, 1), ties to even: round() on a
+    Fraction rounds half to even, on the float32 grid of that binade."""
+    assert Fraction(1, 2) <= x < 1
+    return np.float32(round(x * 2 ** 24) / 2 ** 24)
+
+
+class TestPureEdgeRule:
+    """A pair's edge and weight depend on the pair alone: the exact cosine,
+    rounded once to float32, in the build, the cache and the streaming scan."""
+
+    @pytest.mark.parametrize("at", ["weight", "floor"])
+    def test_band_pair_takes_its_exact_weight_everywhere(self, tmp_path, at):
+        # the GEMM's and the gemv's float64 cosines round to different
+        # float32 weights; with tau just above the midpoint, one of them
+        # would keep the edge and the other drop it
+        E, exact = band_pair()
+        w = exact_float32(exact)
+        up = exact_float32((math.floor(exact * 2 ** 24) + 1) / Fraction(2 ** 24))
+        tau = 0.5 if at == "weight" else float(up)
+        expected = {(0, 0, 1.0), (1, 1, 1.0)} | ({(0, 1, float(w)), (1, 0, float(w))}
+                                                 if w >= tau else set())
+        G = build_graph(E, tau)
+        assert edge_set(G) == expected
+        assert edge_set(load_saved(tmp_path, G)) == expected
+        C = ConfidenceVector([0.9, 0.5])
+        cfg = SelectionConfig(budget=2, tau=tau, utility="identity")
+        streamed, graphed = select_streaming(E, C, cfg), select(G, C, None, cfg)
+        assert streamed.order == graphed.order == [0, 1]
+        assert streamed.objective_trace == graphed.objective_trace
+        assert graphed.objective_trace[0] == 0.9 + (float(w) * 0.9 if w >= tau else 0.0)
+
+
+def clustered(seed, m=400, d=16):
+    return random_instance(seed, m=m, d=d, c=6, cluster_spread=0.05, noise_fraction=0.2)[0]
+
+
+def duplicated(seed=0, n=6, copies=25, d=16):
+    """Each of n rows copies times: balls of radius 0."""
+    base = np.random.default_rng(seed).standard_normal((n, d))
+    return EmbeddingMatrix(np.repeat(base, copies, axis=0).astype(np.float32))
+
+
+class TestPrunedBuild:
+    """Leader balls skip the pairs the triangle inequality rules out; the
+    bytes equal the whole-matrix rule's whatever the layout."""
+
+    INSTANCES = [
+        ("clustered", lambda: clustered(0), 0.9),
+        ("clustered-tau-1", lambda: clustered(1), 1.0),
+        ("unclustered", lambda: random_instance(2, m=300, d=64, c=4, noise_fraction=1.0)[0], 0.3),
+        ("duplicates", duplicated, 0.9),
+        ("duplicates-tau-1", duplicated, 1.0),
+        ("rescaled-duplicates", rescaled_duplicates, 1.0),
+        ("boundary-pair", lambda: boundary_pair(0.9), 0.9),
+    ]
+
+    @pytest.mark.parametrize("cap", [1, 8 * 64 * 5, 64 << 20])
+    @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_equals_whole_matrix_graph(self, monkeypatch, cap, name, make, tau):
+        E = make()
+        reference = graph_bytes(whole_matrix_graph(E, tau))
+        monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        assert graph_bytes(build_graph(E, tau)) == reference
+
+    @pytest.mark.parametrize("angle,leaders", [(10.0, 256), (30.0, 256), (45.0, 3)])
+    def test_equals_whole_matrix_graph_for_other_balls(self, monkeypatch, angle, leaders):
+        # smaller and larger balls, and a leader cap reached early (most rows loose)
+        monkeypatch.setattr(simgraph, "_BALL_ANGLE", math.radians(angle))
+        monkeypatch.setattr(simgraph, "_MAX_LEADERS", leaders)
+        for E, tau in [(clustered(3), 0.9), (duplicated(), 1.0)]:
+            assert graph_bytes(build_graph(E, tau)) == graph_bytes(whole_matrix_graph(E, tau))
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-3])
+    def test_edge_at_the_reach_of_a_ball_is_kept(self, delta):
+        # a ball {0, 1} of radius 10 degrees about e1, and row 2 beyond row 0
+        # on the same great circle, delta short of the edge angle from it: its
+        # angle to the centre is delta short of the ball's reach
+        r, theta = math.radians(10.0), math.acos(0.6)
+        E = EmbeddingMatrix(np.array([[math.cos(a), math.sin(a), 0.0]
+                                      for a in (r, -r, r + theta - delta)]))
+        assert simgraph._leader_balls(unit_rows(E))[1].tolist() == [0, 2], "precondition"
+        G = build_graph(E, 0.6)
+        assert 2 in G.neighbors(0)[0].tolist()
+        assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.6))
+
+    def test_pruning_skips_most_pairs_on_clustered_rows(self, monkeypatch):
+        E = random_instance(0, m=2000, d=32, c=10, cluster_spread=0.05, noise_fraction=0.2)[0]
+        scored, gemm = [], simgraph._cosines
+
+        def counting(A, B, buf):
+            scored.append(len(A) * len(B))
+            return gemm(A, B, buf)
+        monkeypatch.setattr(simgraph, "_cosines", counting)
+        G = build_graph(E, 0.9)
+        assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.9))
+        assert G.nnz > 20 * E.m, "precondition: cross edges inside the clusters"
+        assert sum(scored) < E.m * (E.m + 1) // 4, f"{sum(scored)} pairs scored"
+
+    def test_peak_memory_per_block_and_edge(self, monkeypatch):
+        # the build holds a few blocks of cosines, a few arrays per edge and
+        # the rows; the whole m x m matrix would be 72 MB
+        cap = 1 << 20
+        monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        E = random_instance(0, m=3000, d=16, c=4, cluster_spread=0.05)[0]
+        tracemalloc.start()
+        try:
+            G = build_graph(E, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.nnz > 200 * G.m, "precondition: edges dominate the O(m) arrays"
+        bound = 8 * cap + 16 * G.nnz + 32 * G.m * E.d
+        assert peak < bound, f"{peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
