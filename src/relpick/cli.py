@@ -42,7 +42,8 @@ def _add_selection_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--confidences", help="confidence vector file (binary, or one value per line)")
     src.add_argument("--probs", help="softmax matrix file (binary or CSV)")
-    p.add_argument("--metric", choices=("maxprob", "diffprob"), default="maxprob")
+    p.add_argument("--metric", choices=("maxprob", "diffprob"), default=None,
+                   help="confidence derived from --probs (default: maxprob)")
     p.add_argument("--utility", choices=tuple(pruner.UTILITIES), default="tanh")
 
 
@@ -52,9 +53,12 @@ def _load_embeddings(args):
 
 def _load_confidence(args, m: int) -> ConfidenceVector:
     if args.confidences:
+        if args.metric:
+            raise ConfigError("--metric applies only to --probs")
         C = load_confidences(args.confidences)
     else:
-        C = confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)), metric=args.metric)
+        C = confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)),
+                                  metric=args.metric or "maxprob")
     if C.m != m:
         raise ConfigError(f"confidence length {C.m} does not match {m} examples")
     return C

@@ -372,6 +372,12 @@ def select(
     if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
         raise DataError("exact marginals need every graph row to hold its self-loop")
     cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
+    notes = []
+    if labels is not None and not cfg.balanced:
+        notes.append("labels are used only by balanced selection; ignored")
+    if cfg.balanced and cfg.rule == "lazy":
+        notes.append("balanced selection has no lazy form; the exact rule ran, "
+                     "whose picks equal lazy's")
     u = utility_from_config(cfg)
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
         gains_at, reach = _self_gains(C.values, u), None
@@ -387,7 +393,8 @@ def select(
         pick, reach = _celf(gains_at), lambda rows: _NOWHERE
     else:
         pick = _best_of([(_ALL, range(G.m))])
-    return _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values), gains_at, reach)
+    result = _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values), gains_at, reach)
+    return replace(result, warnings=result.warnings + notes)
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:

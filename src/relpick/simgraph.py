@@ -16,16 +16,17 @@ one machine, not across CPUs.)
 
 Construction skips the pairs that the triangle inequality on the sphere
 proves cannot be edges (threshold pruning after Bayardo et al., WWW
-2007, and Elkan, ICML 2003). Rows are leader-clustered in index order: a
-row with no leader within ``_BALL_ANGLE`` (45 degrees) becomes one, up
-to ``_MAX_LEADERS``, and each row joins its nearest leader within that
-angle. A leader with two or more members makes a ball: centre the
-normalized centroid, radius the widest member angle. The rows are
-permuted ball by ball, and then the loose rows, each in index order. A
-ball's rows are multiplied against the ball and against the later rows
-whose angle to its centre is at most its radius plus the widest edge
-angle plus a slack, and the loose rows against the later loose rows, in
-float64 over the upper triangle of that order; each edge is mirrored.
+2007, and Elkan, ICML 2003). One ball stage, ``_balls``, leader-clusters
+the rows in index order: a row with no leader within ``_BALL_ANGLE`` (45
+degrees) becomes one, up to ``_MAX_LEADERS``, and each row joins its
+nearest leader within that angle. A leader with two or more members
+makes a ball: centre the normalized centroid, radius the widest member
+angle. The rows are permuted ball by ball, then the loose rows, each in
+index order, and each group is handed the columns it is multiplied
+against, in float64 over the upper triangle of that order: a ball its
+own rows and the later rows whose angle to its centre is at most its
+radius plus the widest edge angle plus a slack, the loose rows their
+own rows. Each edge is mirrored.
 With no balls this is the full O(m^2 d) upper-triangle build. A block
 holds at most 32 MiB of cosines, or one row when a row is larger,
 whatever m is. The edges are put in row-major order by LSD radix sorts
@@ -258,36 +259,27 @@ def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
 def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The edges (i, j) with i <= j, the self-loops included, in no set
     order: row ids, column ids (int32) and float32 weights. Each group's
-    rows, in the ball-ordered rows P, are multiplied in blocks against
-    their own rows and the group's later columns; each block keeps its
-    upper triangle."""
-    U = unit_rows(E)
-    m = len(U)
-    perm, bounds = _leader_balls(U)
-    P = U[perm]
-    del U
-    groups = _groups(P, bounds, floor)
-    width = [hi - lo + later.size for lo, hi, later in groups]
-    steps = [max(1, _BLOCK_BYTES // (8 * w)) for w in width]
-    buf = np.empty(max(min(step, hi - lo) * w for (lo, hi, _), step, w in zip(groups, steps, width)))
+    rows, in the ball-ordered rows P, are multiplied in blocks against the
+    group's columns; each block keeps its upper triangle."""
+    perm, P, groups = _balls(unit_rows(E), floor)
+    steps = [max(1, _BLOCK_BYTES // (8 * at.size)) for _, _, at in groups]
+    buf = np.empty(max(min(step, hi - lo) * at.size for (lo, hi, at), step in zip(groups, steps)))
     rule = partial(edge_weights, U=P, floor=floor)
-    perm = perm.astype(np.int32)
     # (row, column, weight bits) records, written in place into segments of
     # twice a block's bytes: blocks' edge lists kept for one concatenation
     # would leave their memory scattered in the heap, and growing one array
     # would copy it
-    seg = max(1, min(m * (m + 1) // 2, 2 * _BLOCK_BYTES // 12))
+    seg = max(1, min(E.m * (E.m + 1) // 2, 2 * _BLOCK_BYTES // 12))
     parts, found, n = [], np.empty((seg, 3), np.int32), 0
-    for (lo, hi, later), step in zip(groups, steps):
-        at = np.concatenate([np.arange(lo, hi), later])  # column positions in P
-        X = P[lo:hi] if not later.size else P[at]
+    for (lo, hi, at), step in zip(groups, steps):
+        X = P[at]
         for start in range(lo, hi, step):
             block = range(start, min(start + step, hi))
-            flat, w32 = rule(_cosines(P[block.start:block.stop], X[start - lo:], buf),
-                             block, at[start - lo:])
-            r, c = divmod(flat, len(X) - (start - lo))
+            cols = at[start - lo:]  # column positions in P, the block's own rows first
+            flat, w32 = rule(_cosines(P[block.start:block.stop], X[start - lo:], buf), block, cols)
+            r, c = divmod(flat, len(cols))
             upper = c >= r  # a block's first columns are its own rows
-            i, j = perm[start + r[upper]], perm[at[start - lo + c[upper]]]
+            i, j = perm[start + r[upper]], perm[cols[c[upper]]]
             if n + i.size > len(found):
                 parts.append(found[:n])
                 found, n = np.empty((max(seg, i.size), 3), np.int32), 0
@@ -301,47 +293,27 @@ def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[np.ndarray, np.ndarr
     return found[:, 0], found[:, 1], found[:, 2].view(np.float32)
 
 
-def _groups(P: np.ndarray, bounds: np.ndarray, floor: float) -> list:
-    """(lo, hi, later) for each ball, rows lo..hi-1 of P, and for the loose
-    rows: the rows to multiply against themselves, and the later rows they
-    may hold edges with. Those are every later row for the loose rows and,
-    for a ball, the later rows whose angle to its centre (the normalized
-    centroid) is within its radius (the widest member angle) plus
-    arccos(floor - band), the widest angle of an edge, plus a slack of
-    _ANGLE_SLACK + 4 sqrt(band): arccos turns a cosine error e into an
-    angle error of at most sqrt(2e). The triangle inequality on the sphere
-    rules out every other pair."""
-    m, d = P.shape
-    band = rounding_band(d)
-    balls = list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
-    centres = np.array([P[lo:hi].sum(axis=0) for lo, hi in balls]).reshape(-1, d)
-    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
-    radii = np.array([math.acos(min(1.0, float((P[lo:hi] @ centre).min())))
-                      for (lo, hi), centre in zip(balls, centres)])
-    reach = radii + math.acos(floor - band) + _ANGLE_SLACK + 4 * math.sqrt(band)
-    cos_reach = np.where(reach < math.pi, np.cos(np.minimum(reach, math.pi)), -np.inf)[:, None]
-    near = np.empty((len(balls), m), dtype=bool)  # near[b, j]: row j may reach ball b
-    for s in range(0, m, _SCAN_ROWS):
-        np.greater_equal(centres @ P[s:s + _SCAN_ROWS].T, cos_reach, out=near[:, s:s + _SCAN_ROWS])
-    groups = [(lo, hi, hi + np.flatnonzero(near[b, hi:])) for b, (lo, hi) in enumerate(balls)]
-    if bounds[-1] < m:
-        groups.append((int(bounds[-1]), m, np.empty(0, dtype=np.intp)))
-    return groups
-
-
 def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """A @ B.T in float64 into the front of buf: the build's one GEMM."""
     return np.matmul(A, B.T, out=buf[:len(A) * len(B)].reshape(len(A), len(B)))
 
 
-def _leader_balls(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _balls(U: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, list]:
     """Leader clustering in index order, in blocks of _SCAN_ROWS rows: a row
     with no leader within _BALL_ANGLE becomes one, until there are
     _MAX_LEADERS, and every row joins its nearest leader within that angle.
     Returns the order that lists each ball (a leader with two or more
     members, in leader order) and then the loose rows, each in index
-    order, and the balls' offsets into it."""
-    m = len(U)
+    order; the rows P = U[order]; and (lo, hi, at) per group, rows
+    lo..hi-1 of P, where ``at`` holds the positions in P that the group is
+    multiplied against, its own rows first. The loose rows, the last
+    group, take only their own rows. A ball also takes the later rows
+    whose angle to its centre (the normalized centroid) is within its
+    radius (the widest member angle) plus arccos(floor - band), the widest
+    angle of an edge, plus a slack of _ANGLE_SLACK + 4 sqrt(band): arccos
+    turns a cosine error e into an angle error of at most sqrt(2e). The
+    triangle inequality on the sphere rules out every other pair."""
+    m, d = U.shape
     cos_r0 = math.cos(_BALL_ANGLE)
     leaders = []
     for s in range(0, m, _SCAN_ROWS):
@@ -362,8 +334,25 @@ def _leader_balls(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ball = size >= 2
     n = int(ball.sum())  # the loose rows' group: singletons and rows with no leader
     group = np.append(np.where(ball, np.cumsum(ball) - 1, n), n)
-    order = np.argsort(group[owner].astype(np.uint16), kind="stable")
-    return order, np.concatenate([[0], np.cumsum(size[ball])])
+    order = _stable_order(group[owner], n + 1)
+    P = U[order]
+    bounds = np.concatenate([[0], np.cumsum(size[ball])]).tolist()
+    balls = list(zip(bounds[:-1], bounds[1:]))
+    band = rounding_band(d)
+    centres = np.array([P[lo:hi].sum(axis=0) for lo, hi in balls]).reshape(-1, d)
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    radii = np.array([math.acos(min(1.0, float((P[lo:hi] @ centre).min())))
+                      for (lo, hi), centre in zip(balls, centres)])
+    reach = radii + math.acos(floor - band) + _ANGLE_SLACK + 4 * math.sqrt(band)
+    cos_reach = np.where(reach < math.pi, np.cos(np.minimum(reach, math.pi)), -np.inf)[:, None]
+    near = np.empty((n, m), dtype=bool)  # near[b, j]: row j may reach ball b
+    for s in range(0, m, _SCAN_ROWS):
+        np.greater_equal(centres @ P[s:s + _SCAN_ROWS].T, cos_reach, out=near[:, s:s + _SCAN_ROWS])
+    groups = [(lo, hi, np.concatenate([np.arange(lo, hi), hi + np.flatnonzero(near[b, hi:])]))
+              for b, (lo, hi) in enumerate(balls)]
+    if bounds[-1] < m:
+        groups.append((bounds[-1], m, np.arange(bounds[-1], m)))
+    return order, P, groups
 
 
 def _stable_order(keys: np.ndarray, m: int, order: np.ndarray | None = None) -> np.ndarray:

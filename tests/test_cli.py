@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relpick import simgraph
-from relpick.cli import main
+from relpick.cli import build_parser, main
 from relpick.dataspec import (
     SELECTION_RULES,
     write_matrix_binary,
@@ -321,6 +324,51 @@ class TestOracleCommand:
         monkeypatch.setattr(simgraph, "build_graph", no_build)
         assert main(["oracle", "--embeddings", str(emb), "--confidences", str(conf),
                      "--budget", str(budget), "--tau", "0.5"]) == code
+
+
+class TestMetricFlag:
+    """--metric derives confidences from --probs and means nothing without it."""
+
+    @pytest.mark.parametrize("command", ["select", "oracle"])
+    def test_metric_with_confidences_exits_2(self, fixture_files, monkeypatch, capsys,
+                                             command):
+        _, emb, conf = fixture_files
+
+        def no_build(*_):
+            raise AssertionError("graph built before the checks")
+        monkeypatch.setattr(simgraph, "build_graph", no_build)
+        rc = main([command, "--embeddings", emb, "--confidences", conf, "--metric", "maxprob",
+                   "--budget", "1", "--tau", "0.5"])
+        assert rc == 2
+        assert capsys.readouterr().err == "relpick: error: --metric applies only to --probs\n"
+
+    @pytest.mark.parametrize("command", ["select", "oracle"])
+    def test_probs_default_to_maxprob(self, tmp_path, capsys, command):
+        emb, probs = tmp_path / "e.bin", tmp_path / "p.csv"
+        write_matrix_binary(emb, np.eye(3, dtype=np.float32))
+        probs.write_text("0.6,0.4\n0.5,0.5\n0.55,0.45\n")
+        outs = []
+        for metric in ([], ["--metric", "maxprob"]):
+            assert main([command, "--embeddings", str(emb), "--probs", str(probs), "--budget",
+                         "1", "--tau", "0.5"] + metric) == 0
+            outs.append(capsys.readouterr().out)
+        assert masked(outs[0]) == masked(outs[1])
+
+
+def test_readme_commands_parse():
+    # every `relpick ...` line of README's sh blocks, continuation lines
+    # joined and comments dropped, so documented flags track the parser
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["relpick"]:
+                commands.append(argv[1:])
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on an unknown or malformed flag
 
 
 class TestFileErrors:

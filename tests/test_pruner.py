@@ -424,6 +424,30 @@ class TestSelect:
         cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
         assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
 
+    def test_balanced_lazy_runs_exact_and_says_so(self):
+        E, C, labels, _ = oracle.random_instance(7, m=60, d=6, c=3, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        exact, lazy = (select(G, C, labels, SelectionConfig(budget=20, tau=0.6, rule=rule,
+                                                            balanced=True))
+                       for rule in ("exact", "lazy"))
+        assert lazy.order == exact.order
+        assert lazy.gains == exact.gains
+        assert lazy.objective_trace == exact.objective_trace
+        assert exact.warnings == []
+        assert lazy.warnings == ["balanced selection has no lazy form; the exact rule ran, "
+                                 "whose picks equal lazy's"]
+        assert lazy.config.rule == "lazy"
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_labels_without_balanced_warn(self, balanced):
+        E, C, labels, _ = oracle.random_instance(7, m=30, d=6, c=3, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        r = select(G, C, labels, SelectionConfig(budget=5, tau=0.6, balanced=balanced))
+        ignored = ["labels are used only by balanced selection; ignored"]
+        assert r.warnings == ([] if balanced else ignored)
+        if not balanced:
+            assert r.order == select(G, C, None, SelectionConfig(budget=5, tau=0.6)).order
+
     def test_balanced_groups_only_present_classes(self):
         E = EmbeddingMatrix(np.eye(3, dtype=np.float32), normalized=True)
         C = ConfidenceVector([0.9, 0.8, 0.7])

@@ -575,10 +575,42 @@ class TestPrunedBuild:
         r, theta = math.radians(10.0), math.acos(0.6)
         E = EmbeddingMatrix(np.array([[math.cos(a), math.sin(a), 0.0]
                                       for a in (r, -r, r + theta - delta)]))
-        assert simgraph._leader_balls(unit_rows(E))[1].tolist() == [0, 2], "precondition"
+        first_ball = simgraph._balls(unit_rows(E), edge_floor(0.6))[2][0]
+        assert first_ball[:2] == (0, 2), "precondition"
         G = build_graph(E, 0.6)
         assert 2 in G.neighbors(0)[0].tolist()
         assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.6))
+
+    def test_balls_hand_each_group_its_columns(self):
+        # balls about e1 (rows 0, 2, 5) and e2 (rows 1, 4), and two loose
+        # rows: row 3, 60 degrees from e2, leads alone, as does row 6, -e1.
+        # Row 3 lies within ball e2's reach (radius 5 degrees plus the 53
+        # degree edge angle of tau 0.6), and no later row within ball e1's.
+        a = math.radians(5.0)
+        E = EmbeddingMatrix(np.array([
+            [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
+            [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
+            [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
+        U = unit_rows(E)
+        order, P, groups = simgraph._balls(U, edge_floor(0.6))
+        assert order.tolist() == [0, 2, 5, 1, 4, 3, 6]
+        assert np.array_equal(P, U[order])
+        assert [(lo, hi, at.tolist()) for lo, hi, at in groups] == [
+            (0, 3, [0, 1, 2]), (3, 5, [3, 4, 5]), (5, 7, [5, 6])]
+        assert graph_bytes(build_graph(E, 0.6)) == graph_bytes(whole_matrix_graph(E, 0.6))
+
+    @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_balls_tile_the_rows_in_index_order(self, name, make, tau):
+        U = unit_rows(make())
+        order, P, groups = simgraph._balls(U, edge_floor(tau))
+        assert np.array_equal(P, U[order])
+        assert sorted(order.tolist()) == list(range(len(U)))
+        assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
+        assert groups[-1][1] == len(U)
+        for lo, hi, at in groups:
+            assert (np.diff(order[lo:hi]) > 0).all()  # index order within a group
+            assert at[:hi - lo].tolist() == list(range(lo, hi))  # own rows first
+            assert (np.diff(at) > 0).all() and (at[hi - lo:] >= hi).all()  # then later rows
 
     def test_pruning_skips_most_pairs_on_clustered_rows(self, monkeypatch):
         E = random_instance(0, m=2000, d=32, c=10, cluster_spread=0.05, noise_fraction=0.2)[0]
