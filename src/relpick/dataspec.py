@@ -288,6 +288,15 @@ def _read_text(path: str | Path) -> np.ndarray:
     flat: list[float] = []
     width = None
     with open(path, encoding="utf-8", errors="replace") as f:
+        # A single column, one float() per non-blank line, takes this one
+        # pass; any text it rejects is read again by the loop below, which
+        # names the line and the fault.
+        try:
+            flat = list(map(float, filter(None, map(str.strip, f))))
+        except ValueError:
+            f.seek(0)
+        if flat:
+            return np.array(flat, dtype=np.float64).reshape(-1, 1)
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:

@@ -113,15 +113,20 @@ def random_instance(
     noisy = np.zeros(m, dtype=bool)
     noisy[rng.choice(m, size=n_noisy, replace=False)] = True
 
-    rows = centers[labels] + cluster_spread * rng.standard_normal((m, d))
+    # in place: the generator holds about two float64 copies of the rows
+    rows = rng.standard_normal((m, d))
+    rows *= cluster_spread
+    rows += centers[labels]
     off_cluster = rng.standard_normal((m, d))
     rows[noisy] = off_cluster[noisy]
+    del off_cluster
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
-    rows = rows / norms[:, None]
+    rows /= norms[:, None]
     # renormalize after the float32 cast so the normalized invariant holds
-    rows32 = rows.astype(np.float32).astype(np.float64)
-    rows = (rows32 / np.linalg.norm(rows32, axis=1, keepdims=True)).astype(np.float32)
+    rows[:] = rows.astype(np.float32)
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows.astype(np.float32)
 
     conf = rng.uniform(0.6, 0.95, size=m)
     conf[noisy] = rng.uniform(0.05, 0.35, size=n_noisy)

@@ -28,12 +28,19 @@ own rows and the later rows whose angle to its centre is at most its
 radius plus the widest edge angle plus a slack, the loose rows their
 own rows. Each edge is mirrored.
 With no balls this is the full O(m^2 d) upper-triangle build. A block
-holds at most 32 MiB of cosines, or one row when a row is larger,
-whatever m is. The edges are put in row-major order by LSD radix sorts
-over 16-bit digits, and the CSR is assembled in O(nnz): row i holds its
-mirrored edges (columns < i), then its self-loop and the edges it found
-(columns >= i), so columns are sorted per row. Stored weights always lie
-in [tau, 1].
+holds at most 8 MiB of cosines, or one row when a row is larger,
+whatever m is. Each block's edges (i, j), i <= j, go as 12-byte records
+to the band of ``_BAND_ROWS`` (512) rows that holds row i, and the loop
+counts each row's degree, so the CSR is allocated once. The CSR is then
+assembled band by band, in ascending order, in O(nnz): LSD radix sorts
+over 16-bit digits put the band's records in column-major order, to
+write each mirror (j, i) at the front of row j, and in row-major order,
+to write each edge at the back of row i. Row i holds its mirrored edges
+(columns < i), then its self-loop and the edges it found (columns > i),
+so columns are sorted per row. After the products the build holds the
+records (6 bytes per edge), the CSR (8 bytes per edge) and one band's
+temporaries; ``NeighborGraph.validate`` holds O(m) arrays and one band's
+temporaries beside the graph. Stored weights always lie in [tau, 1].
 
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
 in the cache, so m must stay below 2^31. Row offsets are int64.
@@ -62,7 +69,12 @@ from .dataspec import EmbeddingMatrix
 
 GRAPH_MAGIC = b"RELGRPH2"
 
-_BLOCK_BYTES = 32 << 20  # float64 cosines per build block, unless one row is larger
+_BLOCK_BYTES = 8 << 20  # float64 cosines per build block, unless one row is larger
+_BAND_ROWS = 1 << 9  # rows per band of the CSR assembly and of the symmetry check
+# Bytes per segment of build records: above the 32 MiB up to which glibc's
+# malloc may serve a request from its heap, so that a segment is mapped on
+# its own and only the pages written to are resident.
+_SEGMENT_BYTES = 64 << 20
 _BALL_ANGLE = math.radians(45.0)  # R0: a row joins its nearest leader within this angle
 _MAX_LEADERS = 256  # after that many leaders, a row with none within R0 stays loose
 _ANGLE_SLACK = 1e-6  # radians added to every pruning bound
@@ -100,14 +112,14 @@ class NeighborGraph:
         return W
 
     def validate(self) -> None:
-        """Accept exactly what ``build_graph`` writes, in O(nnz).
+        """Accept exactly what ``build_graph`` writes, in O(nnz), one band of
+        _BAND_ROWS rows at a time: beside the graph it holds O(m) arrays
+        and one band's temporaries.
 
         Symmetry with equal weights holds when the upper edges (column >
-        row), in row-major order and sorted stably by column, are the lower
-        edges (column < row) in row-major order with row and column
-        swapped. The stable sort is an LSD radix sort over 16-bit digits
-        (numpy sorts types of 16 bits or fewer stably by radix): one pass
-        while m <= 2^16, two below 2^31."""
+        row), handed out in row-major order to the rows of their columns,
+        each row filled from its start as ``build_graph`` fills it, land on
+        exactly the lower edges (column < row) with row and column swapped."""
         if self.indptr.shape != (self.m + 1,) or self.indptr[0] != 0:
             raise DataError("graph: malformed row offsets")
         if np.any(np.diff(self.indptr) < 0):
@@ -122,31 +134,38 @@ class NeighborGraph:
         w_lo, w_hi = (w.min(), w.max()) if w.size else (1.0, 1.0)
         if w_lo < edge_threshold(self.tau) or w_hi > 1.0:
             raise DataError("graph: edge weight outside [tau, 1]")
-        rows = self.row_ids()
-        loops = np.flatnonzero(cols == rows)
-        looped = np.zeros(self.m, dtype=bool)
-        looped[rows[loops]] = True
-        if not looped.all():
-            raise DataError(f"graph: missing self-loop at row {int(np.argmin(looped))}")
-        rising = cols[1:] > cols[:-1]
-        rising[self.indptr[1:-1] - 1] = True  # every row holds its self-loop, so none is empty
-        if not rising.all():
+        loop = np.empty(self.m, dtype=np.int64)  # each row's self-loop position
+        rising = True
+        for lo, hi, rows in _row_bands(self.indptr):
+            s = self.indptr[lo]
+            c = cols[s:s + rows.size]
+            hits = np.flatnonzero(c == rows)
+            looped = np.zeros(hi - lo, dtype=bool)
+            looped[rows[hits] - lo] = True
+            if not looped.all():
+                raise DataError(f"graph: missing self-loop at row {lo + int(np.argmin(looped))}")
+            up = c[1:] > c[:-1]
+            up[self.indptr[lo + 1:hi] - s - 1] = True  # every row holds its self-loop, so none is empty
+            rising &= bool(up.all())  # raised once every row's self-loop is checked
+            loop[lo:hi] = s + hits[:hi - lo]  # one self-loop per row when rising
+        if not rising:
             raise DataError("graph: column ids not strictly increasing within a row")
-        del rising
-        # one self-loop per row now, after the row's lower edges
-        lower_per_row = loops - self.indptr[:-1]
-        up = cols > rows
-        up_rows, up_cols, up_w = rows[up], cols[up], w[up]
-        del up
-        lower = cols < rows
-        del rows
-        by_col = _stable_order(up_cols, self.m)
-        # The sorted upper columns are the lower edges' rows when the counts
-        # per row agree. A NaN weight passes the range check but equals nothing.
-        if (np.isnan(w_lo)
-                or not np.array_equal(np.bincount(up_cols, minlength=self.m), lower_per_row)
-                or not np.array_equal(up_rows[by_col], cols[lower])
-                or not np.array_equal(up_w[by_col], w[lower])):
+        # A NaN weight passes the range check but equals nothing.
+        if np.isnan(w_lo):
+            raise DataError("graph: adjacency is not symmetric")
+        fill = self.indptr[:-1].copy()  # each row's next lower edge to match
+        for lo, hi, rows in _row_bands(self.indptr):
+            s = self.indptr[lo]
+            c = cols[s:s + rows.size]
+            up = np.flatnonzero(c > rows)
+            by_col = up[_stable_order(c[up], self.m)]  # each column's upper edges in ascending row
+            j = c[by_col]
+            at = _slots(fill, j)
+            if (np.any(at >= loop[j])  # more upper edges than lower ones
+                    or not np.array_equal(cols[at], rows[by_col])
+                    or not np.array_equal(w[at], w[s + by_col])):
+                raise DataError("graph: adjacency is not symmetric")
+        if not np.array_equal(fill, loop):
             raise DataError("graph: adjacency is not symmetric")
 
 
@@ -228,49 +247,54 @@ def edge_rule(U: np.ndarray, tau: float):  # edge_weights on the rows U, floor c
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
-    rows, col, w = _upper_edges(E, edge_floor(tau))
     m = E.m
-    by_row = _stable_order(rows, m, _stable_order(col, m))
-    own = np.bincount(rows, minlength=m)
-    del rows
-    col = col[by_row]  # row-major from here on
-    w = w[by_row]
-    del by_row
-    # A stable sort by column lists each column j's edges in ascending row i,
-    # ending with the self-loop (j, j): row j's head, the self-loop included.
-    # Sorted before the CSR is allocated, its temporaries stay off the peak.
-    by_col = _stable_order(col, m)
-    mirrored = np.bincount(col, minlength=m) - 1  # less the self-loop
+    segments, bands, degree = _upper_edges(E, edge_floor(tau))
     indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(own + mirrored, out=indptr[1:])
+    np.cumsum(degree, out=indptr[1:])
+    del degree
     indices = np.empty(indptr[-1], dtype=np.int32)
     weights = np.empty(indptr[-1], dtype=np.float32)
     # Row i is [mirrored edges, columns < i][self-loop][own edges, columns > i].
-    # The own edges and the self-loop fill the row's tail in row-major order.
-    tail = _in_ranges(indptr[:-1] + mirrored, indptr[1:], indptr[-1])
-    indices[tail], weights[tail] = col, w
-    del tail, col
-    head = _in_ranges(indptr[:-1], indptr[:-1] + mirrored + 1, indptr[-1])
-    indices[head] = np.repeat(np.arange(m, dtype=np.int32), own)[by_col]
-    weights[head] = w[by_col]
+    # Every mirror in row j comes from a band at or before j's, so filling the
+    # bands in ascending order, each band's mirrors before its own edges,
+    # writes every row front to back.
+    fill = indptr[:-1].copy()  # each row's next free slot
+    for b, runs in enumerate(bands):
+        found = np.concatenate([segments[k][start:stop] for k, start, stop in runs])
+        by_row = _stable_order(found[:, 0] - b * _BAND_ROWS, _BAND_ROWS, _stable_order(found[:, 1], m))
+        found = found[by_row]  # row-major
+        del by_row
+        i, j, w = found[:, 0], found[:, 1], found[:, 2].view(np.float32)
+        by_col = _stable_order(j, m)  # each column's edges in ascending row, ending with the self-loop
+        at = _slots(fill, j[by_col])
+        indices[at], weights[at] = i[by_col], w[by_col]
+        del by_col
+        own = j > i
+        at = _slots(fill, i[own])
+        indices[at], weights[at] = j[own], w[own]
     return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=indices, weights=weights)
 
 
-def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges (i, j) with i <= j, the self-loops included, in no set
-    order: row ids, column ids (int32) and float32 weights. Each group's
-    rows, in the ball-ordered rows P, are multiplied in blocks against the
-    group's columns; each block keeps its upper triangle."""
+def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[list, list, np.ndarray]:
+    """The edges (i, j) with i <= j, the self-loops included, and each row's
+    degree. The edges are (i, j, float32 weight bits) int32 records in
+    segments, in no set order; bands[b] lists the (segment, start, stop)
+    runs that hold the records with i in band b (rows b * _BAND_ROWS on).
+    Each group's rows, in the ball-ordered rows P, are multiplied in blocks
+    against the group's columns; each block keeps its upper triangle."""
+    m = E.m
     perm, P, groups = _balls(unit_rows(E), floor)
     steps = [max(1, _BLOCK_BYTES // (8 * at.size)) for _, _, at in groups]
     buf = np.empty(max(min(step, hi - lo) * at.size for (lo, hi, at), step in zip(groups, steps)))
     rule = partial(edge_weights, U=P, floor=floor)
-    # (row, column, weight bits) records, written in place into segments of
-    # twice a block's bytes: blocks' edge lists kept for one concatenation
-    # would leave their memory scattered in the heap, and growing one array
-    # would copy it
-    seg = max(1, min(E.m * (E.m + 1) // 2, 2 * _BLOCK_BYTES // 12))
-    parts, found, n = [], np.empty((seg, 3), np.int32), 0
+    bands = [[] for _ in range(0, m, _BAND_ROWS)]
+    degree = np.full(m, -1, dtype=np.int64)  # a self-loop is counted at both ends
+    # Each block's records go, sorted by band, into the free front of a
+    # segment, and the bands note their runs as plain ints: arrays or views
+    # kept per block would be allocated among the blocks' freed temporaries
+    # and keep that memory from the system until the build ends.
+    seg = max(1, min(m * (m + 1) // 2, _SEGMENT_BYTES // 12))
+    segments, n = [np.empty((seg, 3), np.int32)], 0
     for (lo, hi, at), step in zip(groups, steps):
         X = P[at]
         for start in range(lo, hi, step):
@@ -280,17 +304,22 @@ def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[np.ndarray, np.ndarr
             r, c = divmod(flat, len(cols))
             upper = c >= r  # a block's first columns are its own rows
             i, j = perm[start + r[upper]], perm[cols[c[upper]]]
-            if n + i.size > len(found):
-                parts.append(found[:n])
-                found, n = np.empty((max(seg, i.size), 3), np.int32), 0
-            np.minimum(i, j, out=found[n:n + i.size, 0])
-            np.maximum(i, j, out=found[n:n + i.size, 1])
-            found[n:n + i.size, 2] = w32[upper].view(np.int32)
-            n += i.size
-    del buf, P, X
-    parts.append(found[:n])
-    found = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return found[:, 0], found[:, 1], found[:, 2].view(np.float32)
+            degree += np.bincount(np.concatenate((i, j)), minlength=m)
+            row = np.minimum(i, j)
+            band = row // _BAND_ROWS
+            by_band = _stable_order(band, len(bands))
+            if n + i.size > len(segments[-1]):
+                segments.append(np.empty((max(seg, i.size), 3), np.int32))
+                n = 0
+            out = segments[-1][n:n + i.size]
+            out[:, 0] = row[by_band]
+            out[:, 1] = np.maximum(i, j)[by_band]
+            out[:, 2] = w32[upper].view(np.int32)[by_band]
+            sizes = np.bincount(band, minlength=len(bands))
+            for b in np.flatnonzero(sizes).tolist():
+                bands[b].append((len(segments) - 1, n, n + int(sizes[b])))
+                n += int(sizes[b])
+    return segments, bands, degree
 
 
 def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -369,13 +398,25 @@ def _stable_order(keys: np.ndarray, m: int, order: np.ndarray | None = None) -> 
     return order
 
 
-def _in_ranges(starts: np.ndarray, stops: np.ndarray, n: int) -> np.ndarray:
-    """A boolean mask over [0, n), True on each [starts[k], stops[k]):
-    non-empty, disjoint ranges in ascending order."""
-    edge = np.zeros(n + 1, dtype=np.int8)
-    edge[starts] = 1
-    edge[stops] -= 1  # after the starts: a range may start where the previous one stops
-    return np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+def _slots(fill: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The CSR positions of entries sorted by row: each row's run takes the
+    slots from fill[row] on, and fill moves past them."""
+    start = np.flatnonzero(np.diff(rows, prepend=-1))  # the first entry of each row's run
+    run = np.diff(start, append=rows.size)
+    first = rows[start]
+    at = np.repeat(fill[first] - start, run)
+    at += np.arange(rows.size)
+    fill[first] += run
+    return at
+
+
+def _row_bands(indptr: np.ndarray):
+    """(lo, hi, rows) per band of _BAND_ROWS rows: rows lo..hi-1 and the row
+    of each of their entries, indptr[lo]..indptr[hi]-1 (int32)."""
+    m = len(indptr) - 1
+    for lo in range(0, m, _BAND_ROWS):
+        hi = min(lo + _BAND_ROWS, m)
+        yield lo, hi, np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,19 @@ class TestReaders:
         with pytest.raises(FormatError, match=r"c\.txt:2:"):
             read_vector(p)
 
+    def test_crlf_blank_lines_and_padded_values(self, tmp_path):
+        p = tmp_path / "c.txt"
+        p.write_bytes(b" 0.25\r\n\r\n\t0.5 \r\n  \r\n1e-3\r\n")
+        assert read_vector(p).tolist() == [0.25, 0.5, 1e-3]
+        p.write_bytes(b" 1, 2\r\n\r\n3 ,4\t\r\n")
+        assert read_matrix(p).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        p.write_bytes(b" 0.25\r\n\r\n0.5,1\r\n")
+        with pytest.raises(FormatError, match=r"c\.txt:3: expected 1 columns, got 2"):
+            read_vector(p)
+        p.write_bytes(b" 0.25\r\n\r\nx\r\n")
+        with pytest.raises(FormatError, match=r"c\.txt:3: could not convert"):
+            read_vector(p)
+
     def test_vector_needs_one_column(self, tmp_path):
         p = tmp_path / "m.bin"
         write_matrix_binary(p, np.eye(2, dtype=np.float32))

@@ -316,13 +316,16 @@ def load_saved(tmp_path, G):
 
 
 class TestValidate:
-    """``validate`` sorts the upper edges by column with a 16-bit radix:
-    one pass up to m = 2^16, two passes above."""
+    """``validate`` checks one band of _BAND_ROWS rows at a time, and sorts
+    each band's upper edges by column with a 16-bit radix: one pass up to
+    m = 2^16, two passes above."""
 
-    # upper edges (0, 3), (k, k + 2^16): by the low 16 bits alone, the
-    # column 3 would sort after the columns 2^16 + 1 and 2^16 + 2
+    # upper edges (0, B), (k, k + 2^16), B = _BAND_ROWS: each mirror lies in
+    # a later band than its edge, and by the low 16 bits alone, the column B
+    # would sort after the columns 2^16 + 1 and 2^16 + 2
     M = 70_000
-    PAIRS = [(0, 3)] + [(k, k + (1 << 16)) for k in range(1, 5)]
+    B = simgraph._BAND_ROWS
+    PAIRS = [(0, B)] + [(k, k + (1 << 16)) for k in range(1, 5)]
 
     def mirrored(self, skip=None, weight=None):
         edges = []
@@ -337,7 +340,7 @@ class TestValidate:
         assert graph_bytes(load_saved(tmp_path, G)) == graph_bytes(G)
 
     @pytest.mark.parametrize("skip,weight", [((65537, 1), None), (None, (65538, 2)),
-                                             ((3, 0), None), (None, (3, 0))])
+                                             ((B, 0), None), (None, (B, 0))])
     def test_missing_or_unequal_mirror_rejected(self, tmp_path, skip, weight):
         with pytest.raises(DataError, match="not symmetric"):
             load_saved(tmp_path, self.mirrored(skip, weight))
@@ -345,11 +348,29 @@ class TestValidate:
     @pytest.mark.parametrize("m", [5, 70_000])
     @pytest.mark.parametrize("lower", [[(3, 1), (4, 0)],   # each mirror in the other's row
                                        [(4, 0), (4, 1)]])  # same columns, in one row
-    def test_mirror_in_another_row_rejected(self, tmp_path, m, lower):
-        # upper edges (0, 3) and (1, 4), and as many lower edges
-        edges = [(i, j, 0.95) for i, j in [(0, 3), (1, 4)] + lower]
+    def test_mirror_in_another_row_rejected(self, tmp_path, monkeypatch, m, lower):
+        # upper edges (0, 3) and (1, 4), and as many lower edges, where rows 3
+        # and 4 stand for m - 2 and m - 1: two bands after rows 0 and 1's
+        if m == 5:
+            monkeypatch.setattr(simgraph, "_BAND_ROWS", 2)  # bands {0, 1}, {2, 3}, {4}
+        far = {3: m - 2, 4: m - 1}
+        edges = [(far.get(i, i), far.get(j, j), 0.95) for i, j in [(0, 3), (1, 4)] + lower]
         with pytest.raises(DataError, match="not symmetric"):
             load_saved(tmp_path, hand_graph(m, edges))
+
+    def test_faults_raise_in_check_order_across_bands(self, tmp_path, monkeypatch):
+        # row 0 (band 0) holds an unsorted row, row 5 (band 2) no self-loop:
+        # the self-loops are checked first, in every band
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 2)
+        G = hand_graph(6, [(0, 1, 0.95), (1, 0, 0.95)])
+        cols = G.indices.copy()
+        cols[:2] = cols[1::-1]
+        cols[-1] = 4
+        with pytest.raises(DataError, match="missing self-loop at row 5"):
+            load_saved(tmp_path, replace(G, indices=cols))
+        cols[-1] = 5
+        with pytest.raises(DataError, match="column ids not strictly increasing"):
+            load_saved(tmp_path, replace(G, indices=cols))
 
     def test_nan_weight_rejected(self, tmp_path):
         G = hand_graph(3, [(0, 1, 0.95), (1, 0, 0.95)])
@@ -369,8 +390,11 @@ class TestValidate:
         with pytest.raises(DataError, match="column ids not strictly increasing within a row"):
             load_saved(tmp_path, G)
 
-    def test_peak_memory_per_edge(self):
-        # the int64 key check this replaced peaked at 33 bytes per edge
+    def test_peak_memory_per_edge(self, monkeypatch):
+        # Beside the graph, validate holds O(m) arrays and one band's
+        # temporaries, about 30 bytes per edge of the band; the full-length
+        # check this replaced peaked at 13.5 bytes per edge
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 16)
         E = random_instance(0, m=3000, d=16, c=4, cluster_spread=0.05)[0]
         G = build_graph(E, 0.9)
         assert G.nnz > 200 * G.m, "precondition: edges dominate the O(m) arrays"
@@ -380,7 +404,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25 * G.nnz, f"{peak / G.nnz:.1f} bytes per edge"
+        assert peak < G.nnz, f"{peak / G.nnz:.2f} bytes per edge"
 
 
 def whole_matrix_graph(E, tau):
@@ -626,10 +650,16 @@ class TestPrunedBuild:
         assert sum(scored) < E.m * (E.m + 1) // 4, f"{sum(scored)} pairs scored"
 
     def test_peak_memory_per_block_and_edge(self, monkeypatch):
-        # the build holds a few blocks of cosines, a few arrays per edge and
-        # the rows; the whole m x m matrix would be 72 MB
+        # The GEMM loop holds a few 1 MiB blocks of cosines (the whole m x m
+        # matrix would be 72 MB) and the records so far; from then on the
+        # build holds the records (12 bytes per edge with i <= j), the CSR
+        # (8 bytes per edge) and, beside them, one band's temporaries and
+        # the segments' unused tails. The full-length sorts this replaced
+        # peaked 3.1 bytes per edge above the records and the CSR.
         cap = 1 << 20
         monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        monkeypatch.setattr(simgraph, "_SEGMENT_BYTES", cap)
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 16)
         E = random_instance(0, m=3000, d=16, c=4, cluster_spread=0.05)[0]
         tracemalloc.start()
         try:
@@ -638,5 +668,45 @@ class TestPrunedBuild:
         finally:
             tracemalloc.stop()
         assert G.nnz > 200 * G.m, "precondition: edges dominate the O(m) arrays"
-        bound = 8 * cap + 16 * G.nnz + 32 * G.m * E.d
-        assert peak < bound, f"{peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        held = 12 * (G.nnz + G.m) // 2 + 8 * G.nnz
+        assert peak < held + 2 * G.nnz, f"{(peak - held) / G.nnz:.2f} bytes per edge beside them"
+
+
+def two_directions(m, seed=0, d=8):
+    """m rows about two directions, in random order: edges join rows of
+    every band."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((2, d))
+    rows = base[rng.integers(0, 2, m)] + 0.05 * rng.standard_normal((m, d))
+    return EmbeddingMatrix(rows.astype(np.float32))
+
+
+class TestBands:
+    """The build and ``validate`` work in bands of _BAND_ROWS rows; the
+    bytes do not depend on where the bands fall."""
+
+    @pytest.mark.parametrize("band", [1, 3, 7])
+    def test_equals_whole_matrix_graph_at_band_edges(self, monkeypatch, band):
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", band)
+        for m in [m for m in (band - 1, band, band + 1) if m]:
+            E = two_directions(m, seed=m)
+            G = build_graph(E, 0.9)
+            assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.9)), m
+            if m > band:
+                assert (G.row_ids() // band != G.indices // band).any(), "precondition"
+            G.validate()
+
+    def test_band_without_edges(self, monkeypatch):
+        # rows 3..5, the second of three 3-row bands, are orthogonal to
+        # every other row; the rows of the other bands lie about e1
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 3)
+        rows = np.zeros((9, 8))
+        near = [0, 1, 2, 6, 7, 8]
+        rows[near, 0] = 1.0
+        rows[near, 1:3] = 0.05 * np.random.default_rng(0).standard_normal((6, 2))
+        rows[3:6, 3:6] = np.eye(3)
+        E = EmbeddingMatrix(rows.astype(np.float32))
+        G = build_graph(E, 0.9)
+        assert np.diff(G.indptr).tolist() == [6, 6, 6, 1, 1, 1, 6, 6, 6], "precondition"
+        assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.9))
+        G.validate()
