@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DataError
 from .dataspec import ConfidenceVector, EmbeddingMatrix, ProbabilityMatrix, confidence_from_probs
+from .pruner import check_subset
 
 
 def _check_budget(s: int, m: int) -> None:
@@ -52,9 +53,11 @@ def select_kcenter(
     """Farthest-point-first selection on Euclidean distances.
 
     Each step recomputes the distance of every point to the full center
-    set (cost grows with the number of centers, the behavior the scaling
-    bench exercises). Returns the selection order and per-step wall
-    times.
+    set, so its cost grows with the number of centers (the behavior the
+    scaling bench exercises). With k centers, the distances fill the
+    first k m entries of one float64 buffer of (s - 1) m, allocated up
+    front, as a (k, m) view; no other temporary grows with k. Returns
+    the selection order and per-step wall times.
     """
     m = E.m
     _check_budget(s, m)
@@ -65,10 +68,11 @@ def select_kcenter(
     order = [seed_index]
     selected = np.zeros(m, dtype=bool)
     selected[seed_index] = True
+    buf = np.empty((s - 1) * m)
     times: list[float] = []
     for _ in range(s - 1):
         t0 = time.perf_counter()
-        cover = np.maximum(_sq_distances(X, sq, order).min(axis=1), 0.0)
+        cover = np.maximum(_nearest_sq(X, sq, order, buf), 0.0)
         cover[selected] = -np.inf
         x = int(np.argmax(cover))  # first max: lowest index on ties
         order.append(x)
@@ -78,12 +82,24 @@ def select_kcenter(
 
 
 def covering_radius(E: EmbeddingMatrix, centers) -> float:
-    """Max distance from any point to its nearest center."""
+    """Max distance from any point to its nearest center. Centers are
+    checked as a subset is: integer ids in [0, m), none repeated, and at
+    least one."""
+    centers = check_subset(E.m, centers)
+    if not centers:
+        raise DataError("covering radius needs at least one center")
     X = E.data.astype(np.float64)
-    d2 = _sq_distances(X, np.einsum("ij,ij->i", X, X), [int(i) for i in centers])
-    return float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max())
+    d2 = _nearest_sq(X, np.einsum("ij,ij->i", X, X), centers, np.empty(len(centers) * E.m))
+    return float(np.sqrt(np.maximum(d2, 0.0)).max())
 
 
-def _sq_distances(X: np.ndarray, sq: np.ndarray, centers: list[int]) -> np.ndarray:
-    """Squared distances of every row to each center, ||x||^2 - 2 x.c + ||c||^2."""
-    return sq[:, None] - 2.0 * (X @ X[centers].T) + sq[centers][None, :]
+def _nearest_sq(X: np.ndarray, sq: np.ndarray, centers: list[int], buf: np.ndarray) -> np.ndarray:
+    """Squared distance of every row to its nearest center, the least
+    ||c||^2 - 2 c.x + ||x||^2, formed in place in the first k m entries of
+    ``buf`` as a (k, m) array, one row per center."""
+    D = buf[: len(centers) * len(X)].reshape(len(centers), len(X))
+    np.matmul(X[centers], X.T, out=D)
+    D *= -2.0
+    D += sq
+    D += sq[centers][:, None]
+    return D.min(axis=0)

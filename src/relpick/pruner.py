@@ -21,9 +21,13 @@ neighbors; an exact marginal within two hops of the pick, at the rows
 holding an edge to one of those neighbors. CELF keeps its own bounds and
 refreshes stale heap tops in batches. An exact marginal is its row's own
 CSR segment sum, whether computed in a full pass, in the two-hop refresh
-or in a CELF batch, so all three agree bit for bit. So a surrogate step
-costs a refresh over the pick's neighbors plus one O(m) argmax; the
-streaming scan's update is dense, so its step stays O(m d).
+or in a CELF batch, so all three agree bit for bit. Each of those calls,
+and the two-hop reach itself, runs over blocks of consecutive rows
+holding at most ``_FILL_EDGES`` stored edges (a larger row is a block of
+its own), so its temporaries stay bounded whatever m and the pick's
+reach. So a surrogate step costs a refresh over the pick's neighbors
+plus one O(m) argmax; the streaming scan's update is dense, so its step
+stays O(m d).
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -53,7 +57,7 @@ _ALL = slice(None)
 _NOWHERE = slice(0)
 _FIRST = np.zeros(1, dtype=np.intp)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
-_FILL_EDGES = 1 << 20  # edges per block of a first fill of exact marginals
+_FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal or reach call
 
 
 class Utility:
@@ -226,18 +230,34 @@ def _segments(G: NeighborGraph, rows: np.ndarray):
     return np.arange(starts[-1] + counts[-1]) + np.repeat(lo - starts, counts), counts, starts
 
 
+def _blocks(G: NeighborGraph, rows):
+    """``rows`` (or all rows) cut, in the order given, into runs of
+    consecutive entries whose stored edges number at most ``_FILL_EDGES``
+    in all; a row holding more is a run of its own."""
+    if rows is _ALL:
+        rows, ends = np.arange(G.m), G.indptr[1:]
+    else:
+        ends = np.cumsum(G.indptr[rows + 1] - G.indptr[rows])
+    a = 0
+    while a < len(rows):
+        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _FILL_EDGES, side="right"))
+        b = max(b, a + 1)
+        yield rows[a:b]
+        a = b
+
+
 def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
-    """Exact marginals at ``rows``: all rows, or any ids gathered segment by
-    segment. A row's marginal is its own segment sum either way, so the
-    two agree bit for bit."""
-    def gains_at(cn: np.ndarray, rows) -> np.ndarray:
-        if rows is _ALL:  # in blocks of about _FILL_EDGES edges, to bound the temporaries
-            step = max(1, _FILL_EDGES * G.m // max(G.nnz, 1))
-            return np.concatenate([gains_at(cn, np.arange(a, min(a + step, G.m)))
-                                   for a in range(0, G.m, step)])
+    """Exact marginals at ``rows``: all rows, or any ids, gathered segment
+    by segment in blocks of ``_blocks``. A row's marginal is its own
+    segment sum whatever block holds it, so any two calls agree bit for
+    bit."""
+    def block(cn: np.ndarray, rows: np.ndarray) -> np.ndarray:
         at, counts, starts = _segments(G, rows)
         inc = G.weights[at] * np.repeat(conf[rows], counts)  # w(x, j) C[x] in float64
         return _marginals(cn, G.indices[at], inc, starts, u)
+
+    def gains_at(cn: np.ndarray, rows) -> np.ndarray:
+        return np.concatenate([block(cn, b) for b in _blocks(G, rows)])
     return gains_at
 
 
@@ -247,7 +267,8 @@ def _two_hop(G: NeighborGraph):
     By symmetry those are the ids in the neighbors' own CSR rows."""
     def reach(rows: np.ndarray) -> np.ndarray:
         hit = np.zeros(G.m, dtype=bool)
-        hit[G.indices[_segments(G, rows)[0]]] = True
+        for b in _blocks(G, rows):
+            hit[G.indices[_segments(G, b)[0]]] = True
         return np.flatnonzero(hit)
     return reach
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,43 @@ from relpick.baselines import (
     select_small_loss,
     select_uniform,
 )
+from relpick.oracle import random_instance
 
 from conftest import random_unit_rows
+
+
+def reference_sq_distances(X, sq, centers):
+    """The (m, k) squared distances as k-center formed them before it
+    reused one buffer: ||x||^2 - 2 x.c + ||c||^2."""
+    return sq[:, None] - 2.0 * (X @ X[centers].T) + sq[centers][None, :]
+
+
+def reference_kcenter(E, s, seed_index=0):
+    """Farthest-point-first on ``reference_sq_distances``."""
+    X = E.data.astype(np.float64)
+    sq = np.einsum("ij,ij->i", X, X)
+    order, selected = [seed_index], np.zeros(E.m, dtype=bool)
+    selected[seed_index] = True
+    for _ in range(s - 1):
+        cover = np.maximum(reference_sq_distances(X, sq, order).min(axis=1), 0.0)
+        cover[selected] = -np.inf
+        order.append(int(np.argmax(cover)))
+        selected[order[-1]] = True
+    return order
+
+
+def reference_radius(E, centers):
+    X = E.data.astype(np.float64)
+    d2 = reference_sq_distances(X, np.einsum("ij,ij->i", X, X), list(centers))
+    return float(np.sqrt(np.maximum(d2.min(axis=1), 0.0)).max())
+
+
+def kcenter_instances():
+    for seed in range(4):
+        yield random_instance(seed, m=600, d=8, c=5, cluster_spread=0.1, noise_fraction=0.2)[0]
+    rng = np.random.default_rng(54)
+    rows = rng.normal(size=(50, 6)).astype(np.float32)
+    yield EmbeddingMatrix(np.repeat(rows, 4, axis=0))  # four copies of each row: tied distances
 
 
 class TestUniform:
@@ -97,6 +134,39 @@ class TestKCenter:
     def test_bad_seed_index(self):
         with pytest.raises(DataError):
             select_kcenter(EmbeddingMatrix(np.eye(3)), 2, seed_index=5)
+
+    @pytest.mark.parametrize("centers,message", [
+        ([], "at least one center"),
+        ([5], "out of range"),
+        ([-1], "out of range"),
+        ([0.5], "not an integer"),
+        ([1, 1], "duplicate"),
+    ])
+    def test_covering_radius_rejects_bad_centers(self, centers, message):
+        with pytest.raises(DataError, match=message):
+            covering_radius(EmbeddingMatrix(np.eye(3)), centers)
+
+    def test_order_and_radius_equal_the_reference_formula(self):
+        for E in kcenter_instances():
+            s = 80
+            order, _ = select_kcenter(E, s, seed_index=3)
+            assert order.tolist() == reference_kcenter(E, s, seed_index=3)
+            for k in (1, 2, 10, 40, s):
+                assert covering_radius(E, order[:k]) == reference_radius(E, order[:k])
+
+    def test_peak_memory_is_one_distance_buffer(self):
+        # one float64 buffer of (s - 1) m for the distances, plus the
+        # float64 copy of the rows and a few O(m) arrays; the (m, k)
+        # formula held about three m k temporaries at once
+        m, d, s = 4000, 8, 100
+        E = random_instance(0, m=m, d=d, c=5, cluster_spread=0.1)[0]
+        tracemalloc.start()
+        try:
+            select_kcenter(E, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= s * m * 8 + 4 * m * d * 8, f"{peak / (s * m * 8):.2f} buffers"
 
 
 class TestCommonContracts:

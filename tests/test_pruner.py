@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,35 +292,91 @@ class TestSelect:
             assert a.gains == b.gains  # batched refreshes and two-hop ones agree bit for bit
             assert a.objective_trace == b.objective_trace
 
-    @pytest.mark.parametrize("balanced", [False, True])
-    @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
-    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, balanced,
+    @pytest.mark.parametrize("rule,balanced", [("exact", False), ("exact", True),
+                                               ("lazy", False)])
+    @pytest.mark.parametrize("fill_edges", [1 << 18, 50])
+    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, rule, balanced,
                                                          fill_edges):
-        # the loop refreshes exact marginals within two hops of each pick,
-        # and fills them in blocks of rows; every step's gains must equal,
-        # bit for bit, one reduceat over the whole CSR on that step's cn
-        u, best_of, steps = Utility.tanh(), pruner._best_of, []
+        # every exact-marginal call (the fill, each two-hop refresh, each
+        # CELF batch) runs in blocks of at most fill_edges edges; each must
+        # equal, bit for bit, one reduceat over the whole CSR on that cn,
+        # and so must the loop's whole gains array at every step
+        u, best_of, exact_gains, steps = Utility.tanh(), pruner._best_of, pruner._exact_gains, []
         monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
         for seed in range(6):
             E, C, labels, _ = oracle.random_instance(seed, m=120, d=6, c=3, cluster_spread=0.3,
                                                      noise_fraction=0.2)
             G = build_graph(E, 0.6)
             inc = G.weights.astype(np.float64) * C.values[G.row_ids()]
+            refreshed = []  # stored edges of each call after the fill
+
+            def full_pass(cn):
+                return pruner._marginals(cn, G.indices, inc, G.indptr[:-1], u)
+
+            def checked_gains(G, conf, u):
+                gains_at = exact_gains(G, conf, u)
+
+                def wrapped(cn, rows):
+                    gains = gains_at(cn, rows)
+                    assert np.array_equal(gains, full_pass(cn)[rows])
+                    if cn.any():
+                        refreshed.append(int(np.diff(G.indptr)[rows].sum()))
+                    return gains
+                return wrapped
 
             def checked(groups):
                 pick = best_of(groups)
 
                 def wrapped(state, gains):
-                    full = pruner._marginals(state.cn, G.indices, inc, G.indptr[:-1], u)
+                    full = full_pass(state.cn)
                     full[state.selected_mask] = -np.inf
                     assert np.array_equal(gains, full)
                     steps.append(len(state.selected))
                     return pick(state, gains)
                 return wrapped
+            monkeypatch.setattr(pruner, "_exact_gains", checked_gains)
             monkeypatch.setattr(pruner, "_best_of", checked)
-            cfg = SelectionConfig(budget=60, tau=0.6, rule="exact", balanced=balanced)
+            cfg = SelectionConfig(budget=60, tau=0.6, rule=rule, balanced=balanced)
             select(G, C, labels if balanced else None, cfg)
-        assert steps == list(range(60)) * 6
+            assert refreshed
+            if fill_edges == 50:  # refreshes, not only the fill, cross blocks
+                assert max(refreshed) > 2 * fill_edges
+        assert steps == ([] if rule == "lazy" else list(range(60)) * 6)
+
+    @pytest.mark.parametrize("rule", ["exact", "lazy"])
+    @pytest.mark.parametrize("fill_edges", [8, 50, 1 << 18])
+    def test_no_marginals_call_exceeds_a_block(self, monkeypatch, rule, fill_edges):
+        monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
+        sizes, marginals = [], pruner._marginals
+        monkeypatch.setattr(pruner, "_marginals",
+                            lambda *a: sizes.append(a[1].size) or marginals(*a))
+        for seed in range(3):
+            E, C, _, _ = oracle.random_instance(seed, m=150, d=6, c=3, cluster_spread=0.3)
+            G = build_graph(E, 0.6)
+            largest = int(np.diff(G.indptr).max())
+            assert 8 < largest < G.nnz, "precondition: rows larger than the smallest block"
+            sizes.clear()
+            select(G, C, None, SelectionConfig(budget=50, tau=0.6, rule=rule))
+            assert max(sizes) <= max(fill_edges, largest)
+
+    def test_exact_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        # a dense graph: one pick's two-hop reach holds about 18 blocks of
+        # edges; beside the graph, a selection holds a few blocks'
+        # temporaries (about 60 bytes per edge) and O(m) arrays. Unblocked
+        # refreshes peaked at about 100 blocks here
+        fill_edges = 1 << 13
+        monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
+        E, C, _, _ = oracle.random_instance(0, m=1500, d=16, c=4, cluster_spread=0.05)
+        G = build_graph(E, 0.9)
+        reach = pruner._two_hop(G)(G.indices[G.indptr[0]:G.indptr[1]])
+        assert np.diff(G.indptr)[reach].sum() > 10 * fill_edges, "precondition"
+        tracemalloc.start()
+        try:
+            select(G, C, None, SelectionConfig(budget=10, tau=0.9, rule="exact"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * fill_edges * 8, f"{peak / (fill_edges * 8):.1f} blocks"
 
     @pytest.mark.parametrize("rule,balanced", [
         ("surrogate", False), ("exact", False), ("surrogate", True), ("exact", True),
