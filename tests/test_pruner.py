@@ -292,11 +292,18 @@ class TestSelect:
             assert a.gains == b.gains  # batched refreshes and two-hop ones agree bit for bit
             assert a.objective_trace == b.objective_trace
 
-    @pytest.mark.parametrize("rule,balanced", [("exact", False), ("exact", True),
-                                               ("lazy", False)])
-    @pytest.mark.parametrize("fill_edges", [1 << 18, 50])
-    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, rule, balanced,
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
+    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, balanced,
                                                          fill_edges):
+        self.check_gains_at_every_step(monkeypatch, "exact", balanced, fill_edges)
+
+    @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
+    def test_lazy_gains_equal_a_full_pass_at_every_call(self, monkeypatch, fill_edges):
+        self.check_gains_at_every_step(monkeypatch, "lazy", False, fill_edges)
+
+    @staticmethod
+    def check_gains_at_every_step(monkeypatch, rule, balanced, fill_edges):
         # every exact-marginal call (the fill, each two-hop refresh, each
         # CELF batch) runs in blocks of at most fill_edges edges; each must
         # equal, bit for bit, one reduceat over the whole CSR on that cn,
