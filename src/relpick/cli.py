@@ -9,13 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import baselines, oracle, pruner, simgraph
 from .dataspec import (
@@ -33,8 +29,6 @@ from .dataspec import (
 from .errors import ConfigError, DataError, FormatError, RelpickError
 
 BENCH_MIN_M = 512
-BENCH_ROUNDS = 5
-_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def _add_embedding_args(p: argparse.ArgumentParser) -> None:
@@ -163,14 +157,10 @@ def cmd_oracle(args) -> int:
 def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     """Per-step selection timings for the greedy engine vs k-center.
 
-    Graph construction is excluded from the per-step numbers. The timings
-    run in a child interpreter with one BLAS thread (``_ONE_THREAD``), so
-    that the thread count of a matrix product does not change with m.
-    Every size is run ``BENCH_ROUNDS`` times, the rounds interleaved
-    across sizes, and each step reports its least time over the rounds,
-    so that a stall from another process lands in no single size's
-    numbers. Returns a list of {algorithm, m, step, seconds} rows.
+    Graph construction is excluded from the per-step numbers. Returns a
+    list of {algorithm, m, step, seconds} rows.
     """
+    rows = []
     for m in sizes:
         if m < BENCH_MIN_M:
             raise ConfigError(
@@ -179,34 +169,16 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
             )
         if steps > m:
             raise ConfigError(f"steps {steps} exceeds m {m}")
-    root = str(Path(__file__).resolve().parents[1])
-    env = {**os.environ, **_ONE_THREAD,
-           "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
-    code = ("import json, sys; from relpick.cli import _timed_rows; "
-            "json.dump(_timed_rows(*json.loads(sys.argv[1])), sys.stdout)")
-    child = subprocess.run([sys.executable, "-c", code, json.dumps([list(sizes), d, steps, seed, tau])],
-                           env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(child.stdout)
-
-
-def _timed_rows(sizes, d, steps, seed, tau):
-    """``run_bench``'s rows, timed in this process."""
-    instances = [
-        oracle.random_instance(seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2)
-        for m in sizes
-    ]
-    cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
-    best = [[np.inf, np.inf] for _ in sizes]
-    for _ in range(BENCH_ROUNDS):
-        for b, (E, C, _, _) in zip(best, instances):
-            b[0] = np.minimum(b[0], pruner.select_streaming(E, C, cfg).wall_times)
-            b[1] = np.minimum(b[1], baselines.select_kcenter(E, steps, seed_index=0)[1])
-    rows = []
-    for m, (greedy, kcenter) in zip(sizes, best):
-        for step, t in enumerate(greedy):
-            rows.append({"algorithm": "prune4rel", "m": m, "step": step, "seconds": float(t)})
-        for step, t in enumerate(kcenter, start=1):
-            rows.append({"algorithm": "kcenter", "m": m, "step": step, "seconds": float(t)})
+        E, C, labels, _ = oracle.random_instance(
+            seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2
+        )
+        cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
+        result = pruner.select_streaming(E, C, cfg)
+        for step, t in enumerate(result.wall_times):
+            rows.append({"algorithm": "prune4rel", "m": m, "step": step, "seconds": t})
+        _, ktimes = baselines.select_kcenter(E, steps, seed_index=0)
+        for step, t in enumerate(ktimes, start=1):
+            rows.append({"algorithm": "kcenter", "m": m, "step": step, "seconds": t})
     return rows
 
 
