@@ -213,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None,
                    help=f"similarity threshold (default: the --graph cache's tau, else "
                         f"{DEFAULT_TAU}); must match the cache's tau when both are given")
-    p.add_argument("--rule", choices=SELECTION_RULES, default="surrogate")
+    p.add_argument("--rule", choices=SELECTION_RULES, default="surrogate",
+                   help="greedy criterion: surrogate self gain (default), or the exact "
+                        "marginal; exact and lazy are one CELF computation")
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--labels", help="label vector file (binary, or one class id per line)")
     _add_selection_args(p)

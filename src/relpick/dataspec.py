@@ -170,9 +170,10 @@ class SelectionConfig:
     """Configuration for one selection run.
 
     ``rule`` picks the greedy criterion: ``surrogate`` is the cheap
-    per-candidate self-gain, ``exact`` the true objective marginal, and
-    ``lazy`` a priority-queue variant of ``exact`` with identical output.
-    Ties always break toward the lowest index.
+    per-candidate self-gain, ``exact`` the true objective marginal, picked
+    by lazy (CELF) greedy, and ``lazy`` another name for ``exact``: one
+    computation, with or without ``balanced``. Ties always break toward
+    the lowest index.
     """
 
     budget: int

@@ -8,26 +8,23 @@ Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
 confidence to the accumulator: a CSR row slice of a prebuilt graph
 (``select``), or an O(m d) on-the-fly similarity scan (``select_streaming``).
-The policy picks the candidate of highest ``surrogate`` self gain
-u(cn[x] + C[x]) - u(cn[x]) (the method's cheap default) or highest
-``exact`` objective marginal (the classic (1 - 1/e) greedy guarantee),
-either over all candidates or round-robin over label classes (balanced);
-or it runs CELF (``lazy``: Minoux 1978; Leskovec et al., KDD 2007), whose
-output is index-for-index identical to ``exact``.
+The candidates form groups: all rows, or one group per present label
+class (balanced), visited round-robin. The ``surrogate`` policy picks the
+candidate of highest self gain u(cn[x] + C[x]) - u(cn[x]) (the method's
+cheap default) from one gains array, refreshed only where cn moved, at
+the pick's neighbors. The ``exact`` and ``lazy`` rules are one policy,
+CELF (Minoux 1978; Leskovec et al., KDD 2007), over exact objective
+marginals (the classic (1 - 1/e) greedy guarantee): the objective is
+submodular, so a stale marginal is an upper bound, and refreshing heap
+tops until the freshest stays on top picks what a full pass would.
 
-The candidates' gains are one array kept across steps and refreshed only
-where a gain can have moved: a self gain where cn moved, at the pick's
-neighbors; an exact marginal within two hops of the pick, at the rows
-holding an edge to one of those neighbors. CELF keeps its own bounds and
-refreshes stale heap tops in batches. An exact marginal is its row's own
-CSR segment sum, whether computed in a full pass, in the two-hop refresh
-or in a CELF batch, so all three agree bit for bit. Each of those calls,
-and the two-hop reach itself, runs over blocks of consecutive rows
-holding at most ``_FILL_EDGES`` stored edges (a larger row is a block of
-its own), so its temporaries stay bounded whatever m and the pick's
-reach. So a surrogate step costs a refresh over the pick's neighbors
-plus one O(m) argmax; the streaming scan's update is dense, so its step
-stays O(m d).
+An exact marginal is its row's own CSR segment sum, whether computed in
+the first full pass or in a CELF batch, so the two agree bit for bit.
+Each call runs over blocks of consecutive rows holding at most
+``_FILL_EDGES`` stored edges (a larger row is a block of its own), so its
+temporaries stay bounded whatever m. So a surrogate step costs a refresh
+over the pick's neighbors plus one O(m) argmax; the streaming scan's
+update is dense, so its step stays O(m d).
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -40,6 +37,7 @@ import operator
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -51,13 +49,12 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import NeighborGraph, edge_rule, unit_rows
+from .simgraph import NeighborGraph, edge_floor, edge_weights, unit_rows
 
 _ALL = slice(None)
-_NOWHERE = slice(0)
 _FIRST = np.zeros(1, dtype=np.intp)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
-_FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal or reach call
+_FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
 
 
 class Utility:
@@ -261,48 +258,54 @@ def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
     return gains_at
 
 
-def _two_hop(G: NeighborGraph):
-    """Reach of an exact marginal: the update moved cn at the pick's
-    neighbors, and only rows holding an edge to one of them can see it.
-    By symmetry those are the ids in the neighbors' own CSR rows."""
-    def reach(rows: np.ndarray) -> np.ndarray:
-        hit = np.zeros(G.m, dtype=bool)
-        for b in _blocks(G, rows):
-            hit[G.indices[_segments(G, b)[0]]] = True
-        return np.flatnonzero(hit)
-    return reach
+def _best_of(groups, gains_at):
+    """Pick policy over one gains array kept across steps: ``gains_at``
+    fills it at the first step and refreshes it where the last update
+    moved cn, -inf once selected. It picks the candidate of highest gain
+    in the next (rows, ids) group, cycling over the groups; a group with
+    nothing left drops out of the cycle."""
+    groups, gains = deque(groups), None
 
-
-def _best_of(groups):
-    """Pick policy: the candidate of highest gain in the next (rows, ids)
-    group, cycling over the groups (all rows, or one group per label
-    class); a group with nothing left drops out of the cycle."""
-    groups = deque(groups)
-
-    def pick(state: SelectionState, gains: np.ndarray) -> tuple[int, float]:
+    def pick(state: SelectionState, moved) -> tuple[int, float]:
+        nonlocal gains
+        if gains is None:
+            gains = np.empty(state.m)
+        fresh = gains_at(state.cn, moved)
+        fresh[state.selected_mask[moved]] = -np.inf
+        gains[moved] = fresh
         while True:
             rows, ids = groups.popleft()
             x = int(ids[gains[rows].argmax()])  # first max: lowest index
             if gains[x] > -np.inf:  # gains are >= 0, so -inf means exhausted
                 groups.append((rows, ids))
-                return x, float(gains[x])
+                g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
+                return x, g
     return pick
 
 
-def _celf(gains_at):
-    """Lazy pick policy: stale exact gains are upper bounds by
-    submodularity, so the heap top only needs refreshing until the
-    freshest entry stays on top. The first pick fills the heap from the
-    loop's gains; each refresh pops up to ``_CELF_BATCH`` consecutive
-    stale tops and recomputes them in one ``gains_at`` call. The
-    (-gain, index) keys keep ties on the lowest index."""
-    heap: list[tuple[float, int, int]] = []
+def _celf(groups, gains_at):
+    """Lazy pick policy over exact marginals, one heap per (rows, ids)
+    group, visited round-robin; a group with nothing left drops out.
+    Stale gains are upper bounds by submodularity, so a heap top only
+    needs refreshing until the freshest entry stays on top. The first
+    pick fills every heap from one ``gains_at`` pass over all rows; each
+    refresh pops up to ``_CELF_BATCH`` consecutive stale tops and
+    recomputes them in one ``gains_at`` call, so the rows the last update
+    moved go unused. The (-gain, index) keys keep ties on the lowest
+    index."""
+    heaps = deque()
 
-    def pick(state: SelectionState, gains: np.ndarray) -> tuple[int, float]:
+    def pick(state: SelectionState, moved) -> tuple[int, float]:
         step = len(state.selected)
         if step == 0:
-            heap[:] = [(-g, x, 0) for x, g in enumerate(gains.tolist())]
-            heapq.heapify(heap)
+            gains = gains_at(state.cn, _ALL)
+            for rows, ids in groups:
+                heaps.append([(-g, x, 0) for g, x in zip(gains[rows].tolist(), ids.tolist())])
+                heapq.heapify(heaps[-1])
+        heap = heaps.popleft()
+        while not heap:  # all picked: the group drops out
+            heap = heaps.popleft()
+        heaps.append(heap)
         while heap[0][2] != step:
             stale = []
             while heap and heap[0][2] != step and len(stale) < _CELF_BATCH:
@@ -327,7 +330,7 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
 
 
 def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
-    rule, everyone = edge_rule(U, tau), range(len(U))
+    rule, everyone = partial(edge_weights, U=U, floor=edge_floor(tau)), range(len(U))
 
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
         js, w32 = rule((U @ U[x])[None], (x,), everyone)  # the graph's edge rule, on one row
@@ -338,38 +341,29 @@ def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
     return update
 
 
-def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update, gains_at,
-            reach=None) -> SelectionResult:
-    """The greedy loop, over a budget clamped to the population. The pick
-    policy reads ``gains``, each candidate's gain and -inf once selected:
-    the first step fills it with ``gains_at(cn, _ALL)``, each later step
-    refreshes it at ``reach(rows)`` of the rows the last update returned,
-    by default at those rows.
-    wall_times cover each step's refresh, pick and update. The objective
-    trace, kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over
-    the rows it reached."""
+def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update) -> SelectionResult:
+    """The greedy loop, over a budget clamped to the population. Each step
+    asks the pick policy for a candidate and its gain, passing the rows
+    the last update moved (all rows at the first step), then adds the pick
+    to the accumulator.
+    wall_times cover each step's pick and update. The objective trace,
+    kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over the
+    rows it reached."""
     warnings = []
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
     state = SelectionState(m=m, budget=min(cfg.budget, m))
-    gains, at = np.empty(m), _ALL
     picked, trace, wall_times = [], [], []
-    total = 0.0
+    total, moved = 0.0, _ALL
     while len(state.selected) < state.budget:
         t0 = time.perf_counter()
-        if at is not _NOWHERE:
-            fresh = gains_at(state.cn, at)
-            fresh[state.selected_mask[at]] = -np.inf
-            gains[at] = fresh
-        x, g = pick(state, gains)
-        gains[x] = -np.inf  # also when the update does not reach x
-        rows, inc = update(state.cn, x)
+        x, g = pick(state, moved)
+        moved, inc = update(state.cn, x)
         state.selected_mask[x] = True
         state.selected.append(x)
         wall_times.append(time.perf_counter() - t0)
-        at = rows if reach is None else reach(rows)
         hit = inc > 0.0  # the scan's inc is dense, zero off the pick's edges
-        after, inc = state.cn[rows][hit], inc[hit]
+        after, inc = state.cn[moved][hit], inc[hit]
         total += float((u(after) - u(after - inc)).sum())
         picked.append(g)
         trace.append(total)
@@ -396,25 +390,20 @@ def select(
     notes = []
     if labels is not None and not cfg.balanced:
         notes.append("labels are used only by balanced selection; ignored")
-    if cfg.balanced and cfg.rule == "lazy":
-        notes.append("balanced selection has no lazy form; the exact rule ran, "
-                     "whose picks equal lazy's")
     u = utility_from_config(cfg)
-    if cfg.rule == "surrogate":  # a self gain moves only where cn moved
-        gains_at, reach = _self_gains(C.values, u), None
-    else:  # an exact marginal moves wherever a neighbor's cn moved
-        gains_at, reach = _exact_gains(G, C.values, u), _two_hop(G)
     if cfg.balanced:
         # one stable sort: each present class's members in ascending index,
         # classes in id order; ids with no members form no group
         by_class = np.argsort(labels.values, kind="stable")
         members = np.split(by_class, np.flatnonzero(np.diff(labels.values[by_class])) + 1)
-        pick = _best_of((r, r) for r in members)
-    elif cfg.rule == "lazy":  # CELF keeps its own bounds
-        pick, reach = _celf(gains_at), lambda rows: _NOWHERE
+        groups = [(r, r) for r in members]
     else:
-        pick = _best_of([(_ALL, range(G.m))])
-    result = _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values), gains_at, reach)
+        groups = [(_ALL, np.arange(G.m))]
+    if cfg.rule == "surrogate":  # a self gain moves only where cn moved
+        pick = _best_of(groups, _self_gains(C.values, u))
+    else:  # exact and lazy: one CELF computation
+        pick = _celf(groups, _exact_gains(G, C.values, u))
+    result = _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values))
     return replace(result, warnings=result.warnings + notes)
 
 
@@ -431,7 +420,7 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
     update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
-    return _greedy(E.m, cfg, u, _best_of([(_ALL, range(E.m))]), update, _self_gains(C.values, u))
+    return _greedy(E.m, cfg, u, _best_of([(_ALL, range(E.m))], _self_gains(C.values, u)), update)
 
 
 @dataclass(frozen=True)

@@ -240,10 +240,6 @@ def edge_weights(sims: np.ndarray, rows, cols, U: np.ndarray,
     return flat[keep], w32[keep]
 
 
-def edge_rule(U: np.ndarray, tau: float):  # edge_weights on the rows U, floor computed once
-    return partial(edge_weights, U=U, floor=edge_floor(tau))
-
-
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relpick import simgraph
+from relpick import oracle, simgraph
 from relpick.cli import build_parser, main
 from relpick.dataspec import (
     SELECTION_RULES,
@@ -82,6 +82,27 @@ class TestSelectCommand:
         ])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["config"]["rule"] == rule
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_lazy_writes_the_exact_result(self, tmp_path, capsys, balanced):
+        # lazy and exact are one CELF computation: the results differ only
+        # in their wall times and in the rule they record
+        E, C, labels, _ = oracle.random_instance(2, m=80, d=6, c=3, cluster_spread=0.3)
+        emb, conf, lab = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "y.txt"
+        write_matrix_binary(emb, E.data)
+        write_vector_text(conf, C.values)
+        lab.write_text("".join(f"{y}\n" for y in labels.values.tolist()))
+        argv = ["select", "--embeddings", str(emb), "--confidences", str(conf),
+                "--budget", "20", "--tau", "0.6"]
+        if balanced:
+            argv += ["--balanced", "--labels", str(lab)]
+        results = []
+        for rule in ("exact", "lazy"):
+            assert main(argv + ["--rule", rule]) == 0
+            result = json.loads(masked(capsys.readouterr().out))
+            assert result["config"].pop("rule") == rule
+            results.append(json.dumps(result, sort_keys=True))
+        assert results[0] == results[1]
 
     def test_balanced_without_labels_exits_2(self, fixture_files):
         _, emb, conf = fixture_files

@@ -289,26 +289,18 @@ class TestSelect:
             a = select(G, C, None, SelectionConfig(budget=24, tau=0.6, rule="exact"))
             b = select(G, C, None, SelectionConfig(budget=24, tau=0.6, rule="lazy"))
             assert a.order == b.order
-            assert a.gains == b.gains  # batched refreshes and two-hop ones agree bit for bit
+            assert a.gains == b.gains
             assert a.objective_trace == b.objective_trace
 
+    @pytest.mark.parametrize("rule", ["exact", "lazy"])
     @pytest.mark.parametrize("balanced", [False, True])
     @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
-    def test_exact_gains_equal_a_full_pass_at_every_step(self, monkeypatch, balanced,
-                                                         fill_edges):
-        self.check_gains_at_every_step(monkeypatch, "exact", balanced, fill_edges)
-
-    @pytest.mark.parametrize("fill_edges", [1 << 20, 50])
-    def test_lazy_gains_equal_a_full_pass_at_every_call(self, monkeypatch, fill_edges):
-        self.check_gains_at_every_step(monkeypatch, "lazy", False, fill_edges)
-
-    @staticmethod
-    def check_gains_at_every_step(monkeypatch, rule, balanced, fill_edges):
-        # every exact-marginal call (the fill, each two-hop refresh, each
-        # CELF batch) runs in blocks of at most fill_edges edges; each must
-        # equal, bit for bit, one reduceat over the whole CSR on that cn,
-        # and so must the loop's whole gains array at every step
-        u, best_of, exact_gains, steps = Utility.tanh(), pruner._best_of, pruner._exact_gains, []
+    def test_lazy_gains_equal_a_full_pass_at_every_call(self, monkeypatch, rule, balanced,
+                                                        fill_edges):
+        # every exact-marginal call (the fill, each CELF batch) runs in
+        # blocks of at most fill_edges edges; each must equal, bit for bit,
+        # one reduceat over the whole CSR on that cn
+        u, exact_gains = Utility.tanh(), pruner._exact_gains
         monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
         for seed in range(6):
             E, C, labels, _ = oracle.random_instance(seed, m=120, d=6, c=3, cluster_spread=0.3,
@@ -330,25 +322,12 @@ class TestSelect:
                         refreshed.append(int(np.diff(G.indptr)[rows].sum()))
                     return gains
                 return wrapped
-
-            def checked(groups):
-                pick = best_of(groups)
-
-                def wrapped(state, gains):
-                    full = full_pass(state.cn)
-                    full[state.selected_mask] = -np.inf
-                    assert np.array_equal(gains, full)
-                    steps.append(len(state.selected))
-                    return pick(state, gains)
-                return wrapped
             monkeypatch.setattr(pruner, "_exact_gains", checked_gains)
-            monkeypatch.setattr(pruner, "_best_of", checked)
             cfg = SelectionConfig(budget=60, tau=0.6, rule=rule, balanced=balanced)
             select(G, C, labels if balanced else None, cfg)
             assert refreshed
             if fill_edges == 50:  # refreshes, not only the fill, cross blocks
                 assert max(refreshed) > 2 * fill_edges
-        assert steps == ([] if rule == "lazy" else list(range(60)) * 6)
 
     @pytest.mark.parametrize("rule", ["exact", "lazy"])
     @pytest.mark.parametrize("fill_edges", [8, 50, 1 << 18])
@@ -367,16 +346,14 @@ class TestSelect:
             assert max(sizes) <= max(fill_edges, largest)
 
     def test_exact_peak_memory_is_bounded_by_the_block(self, monkeypatch):
-        # a dense graph: one pick's two-hop reach holds about 18 blocks of
-        # edges; beside the graph, a selection holds a few blocks'
-        # temporaries (about 60 bytes per edge) and O(m) arrays. Unblocked
-        # refreshes peaked at about 100 blocks here
+        # a dense graph of many blocks of edges; beside the graph, a
+        # selection holds a few blocks' temporaries (about 60 bytes per
+        # edge) and O(m) arrays. An unblocked fill would hold them all
         fill_edges = 1 << 13
         monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
         E, C, _, _ = oracle.random_instance(0, m=1500, d=16, c=4, cluster_spread=0.05)
         G = build_graph(E, 0.9)
-        reach = pruner._two_hop(G)(G.indices[G.indptr[0]:G.indptr[1]])
-        assert np.diff(G.indptr)[reach].sum() > 10 * fill_edges, "precondition"
+        assert G.nnz > 10 * fill_edges, "precondition"
         tracemalloc.start()
         try:
             select(G, C, None, SelectionConfig(budget=10, tau=0.9, rule="exact"))
@@ -431,16 +408,21 @@ class TestSelect:
                                              Utility.tanh())
 
     def test_lazy_computes_vectorized_marginals_once(self, monkeypatch):
-        E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
+        # balanced exact too: after the fill, every call is one CELF batch
+        # from one class's heap
+        E, C, labels, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
         segments = []
         marginals = pruner._marginals
         monkeypatch.setattr(pruner, "_marginals",
                             lambda *a: segments.append(a[3].size) or marginals(*a))
-        select(G, C, None, SelectionConfig(budget=40, tau=0.6, rule="lazy"))
-        assert G.nnz < pruner._FILL_EDGES and segments[0] == G.m  # the fill, in one block
-        assert all(1 <= n <= pruner._CELF_BATCH for n in segments[1:])  # refresh batches
-        assert max(segments[1:]) > 1
+        for rule, balanced in (("lazy", False), ("exact", True)):
+            segments.clear()
+            cfg = SelectionConfig(budget=40, tau=0.6, rule=rule, balanced=balanced)
+            select(G, C, labels if balanced else None, cfg)
+            assert G.nnz < pruner._FILL_EDGES and segments[0] == G.m  # the fill, in one block
+            assert all(1 <= n <= pruner._CELF_BATCH for n in segments[1:])  # refresh batches
+            assert max(segments[1:]) > 1
 
     def test_lazy_wall_times_are_per_pick(self):
         E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
@@ -488,7 +470,7 @@ class TestSelect:
         cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
         assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
 
-    def test_balanced_lazy_runs_exact_and_says_so(self):
+    def test_balanced_lazy_equals_balanced_exact_without_a_warning(self):
         E, C, labels, _ = oracle.random_instance(7, m=60, d=6, c=3, cluster_spread=0.3)
         G = build_graph(E, 0.6)
         exact, lazy = (select(G, C, labels, SelectionConfig(budget=20, tau=0.6, rule=rule,
@@ -497,9 +479,7 @@ class TestSelect:
         assert lazy.order == exact.order
         assert lazy.gains == exact.gains
         assert lazy.objective_trace == exact.objective_trace
-        assert exact.warnings == []
-        assert lazy.warnings == ["balanced selection has no lazy form; the exact rule ran, "
-                                 "whose picks equal lazy's"]
+        assert exact.warnings == lazy.warnings == []
         assert lazy.config.rule == "lazy"
 
     @pytest.mark.parametrize("balanced", [False, True])
