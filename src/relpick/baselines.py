@@ -8,6 +8,7 @@ through the confidence-based selectors since only the ranking matters.
 
 from __future__ import annotations
 
+import operator
 import time
 
 import numpy as np
@@ -18,6 +19,10 @@ from .pruner import check_subset
 
 
 def _check_budget(s: int, m: int) -> None:
+    try:
+        operator.index(s)  # unlike int(), refuses 2.5
+    except TypeError:
+        raise DataError(f"budget {s!r} is not an integer") from None
     if not (1 <= s <= m):
         raise DataError(f"budget {s} out of range [1, {m}]")
 

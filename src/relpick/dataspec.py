@@ -2,7 +2,12 @@
 
 All array-backed types are immutable after construction (the underlying
 numpy buffers are marked read-only) and therefore safe to share across
-threads.
+threads. Each converts its input through ``_array``, which refuses, with
+DataError, the wrong rank or an empty axis, a non-finite float, and a
+cast to an integer or boolean dtype that changes a value: labels of 0.5
+or 1e20 and noise flags of 2.0 are errors, not 0, -2^63 and True.
+Embeddings may round from float64 to float32. A SelectionConfig budget
+must be an integer (``operator.index``); 2.5 is a ConfigError.
 
 Binary matrix format: 8-byte magic ``RELPICK1``, then u64 row count,
 u64 column count, then rows*cols little-endian float32 values row-major.
@@ -15,6 +20,7 @@ for a vector).
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import asdict, dataclass, field
@@ -40,6 +46,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _array(values, dtype, ndim: int, what: str) -> np.ndarray:
+    """``values`` as a C-contiguous array of ``dtype``, else DataError: a
+    rank other than ``ndim`` or an empty axis, a non-finite float, or a
+    cast to an integer or boolean dtype that changes a value (0.5 -> 0,
+    2.0 -> True, nan -> int64). Rounding to a narrower float is allowed."""
+    raw = np.asarray(values)
+    with np.errstate(all="ignore"):  # a lossy cast is refused below, not warned about
+        a = np.ascontiguousarray(raw, dtype=dtype)
+    if a.ndim != ndim or 0 in a.shape:
+        raise DataError(f"{what} must be {ndim}-D and non-empty, got shape {a.shape}")
+    if a.dtype.kind == "f":
+        if not np.isfinite(a).all():
+            raise DataError(f"{what} contains non-finite values")
+    elif not np.array_equal(a, raw):
+        raise DataError(f"{what} must be {'0 or 1' if a.dtype == bool else 'integers'}")
+    return a
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """Dense m x d matrix of per-example representations (float32)."""
@@ -48,11 +72,7 @@ class EmbeddingMatrix:
     normalized: bool = False
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float32)
-        if data.ndim != 2 or data.shape[0] < 1 or data.shape[1] < 1:
-            raise DataError(f"embedding matrix must be 2-D and non-empty, got shape {data.shape}")
-        if not np.isfinite(data).all():
-            raise DataError("embedding matrix contains non-finite values")
+        data = _array(self.data, np.float32, 2, "embedding matrix")
         if self.normalized:
             norms = np.linalg.norm(data.astype(np.float64), axis=1)
             bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
@@ -78,11 +98,7 @@ class ConfidenceVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 1 or v.size < 1:
-            raise DataError("confidence vector must be 1-D and non-empty")
-        if not np.isfinite(v).all():
-            raise DataError("confidence vector contains non-finite values")
+        v = _array(self.values, np.float64, 1, "confidence vector")
         if v.min() < -CONFIDENCE_SLACK or v.max() > 1.0 + CONFIDENCE_SLACK:
             i = int(np.argmax(np.maximum(-v, v - 1.0)))
             raise DataError(f"confidence value out of [0,1] at index {i}: {v[i]}")
@@ -101,11 +117,7 @@ class ProbabilityMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.data, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
-            raise DataError("probability matrix must be 2-D and non-empty")
-        if not np.isfinite(p).all():
-            raise DataError("probability matrix contains non-finite values")
+        p = _array(self.data, np.float64, 2, "probability matrix")
         if p.min() < -CONFIDENCE_SLACK or p.max() > 1.0 + CONFIDENCE_SLACK:
             raise DataError("probability values must lie in [0,1]")
         sums = p.sum(axis=1)
@@ -131,9 +143,7 @@ class LabelVector:
     class_count: int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.int64)
-        if v.ndim != 1 or v.size < 1:
-            raise DataError("label vector must be 1-D and non-empty")
+        v = _array(self.values, np.int64, 1, "label vector")
         if self.class_count < 1:
             raise DataError("class_count must be >= 1")
         if v.min() < 0 or v.max() >= self.class_count:
@@ -155,9 +165,7 @@ class NoiseFlagVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=bool)
-        if v.ndim != 1 or v.size < 1:
-            raise DataError("noise-flag vector must be 1-D and non-empty")
+        v = _array(self.values, bool, 1, "noise-flag vector")
         object.__setattr__(self, "values", _freeze(v))
 
     @property
@@ -184,6 +192,10 @@ class SelectionConfig:
     utility_knots: tuple | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "budget", operator.index(self.budget))  # refuses 2.5
+        except TypeError:
+            raise ConfigError(f"budget must be an integer, got {self.budget!r}") from None
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
         if not (0.0 < self.tau <= 1.0):
@@ -255,7 +267,8 @@ def write_matrix_binary(path: str | Path, data: np.ndarray) -> None:
 def read_matrix(path: str | Path) -> np.ndarray:
     """An m x d float32 matrix: the binary container when the file starts
     with the magic, else text with one comma-separated row per line."""
-    return _read(path).astype(np.float32, copy=False)
+    with np.errstate(over="ignore"):  # past float32 becomes inf, which the array types refuse
+        return _read(path).astype(np.float32, copy=False)
 
 
 def read_vector(path: str | Path) -> np.ndarray:
@@ -358,10 +371,7 @@ def load_confidences(path: str | Path) -> ConfidenceVector:
 
 
 def load_labels(path: str | Path) -> LabelVector:
-    raw = read_vector(path)
-    ids = raw.astype(np.int64)
-    if np.any(ids != raw):
-        raise DataError(f"{path}: labels must be integers")
+    ids = _array(read_vector(path), np.int64, 1, f"{path}: labels")
     return LabelVector(ids, class_count=int(ids.max()) + 1)
 
 
@@ -369,7 +379,7 @@ def load_noise_flags(path: str | Path) -> NoiseFlagVector:
     raw = read_vector(path)
     if not np.isin(raw, (0.0, 1.0)).all():
         raise DataError(f"{path}: noise flags must be 0 or 1")
-    return NoiseFlagVector(raw.astype(bool))
+    return NoiseFlagVector(raw)
 
 
 def confidence_from_probs(P: ProbabilityMatrix, metric: str = "maxprob") -> ConfidenceVector:

@@ -186,3 +186,22 @@ class TestCommonContracts:
             assert len(sel) == s
             assert len(set(map(int, sel))) == s
             assert all(0 <= int(i) < m for i in sel)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, "3"])
+    def test_budget_must_be_an_integer(self, budget):
+        # refused, not rounded by the slice or buffer size that consumes it;
+        # a numpy integer is still a budget
+        rng = np.random.default_rng(54)
+        E = random_unit_rows(rng, 6, 3)
+        C = ConfidenceVector(rng.uniform(0, 1, 6))
+        P = ProbabilityMatrix(np.full((6, 2), 0.5))
+        selectors = (
+            lambda s: select_uniform(6, s, seed=1),
+            lambda s: select_small_loss(C, s),
+            lambda s: select_margin(P, s),
+            lambda s: select_kcenter(E, s)[0],
+        )
+        for select in selectors:
+            with pytest.raises(DataError, match="not an integer"):
+                select(budget)
+            assert len(select(np.int64(3))) == 3

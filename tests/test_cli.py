@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relpick
 from relpick import oracle, simgraph
 from relpick.cli import build_parser, main
 from relpick.dataspec import (
@@ -408,6 +412,33 @@ class TestFileErrors:
             argv += ["--confidences", conf, "--budget", "1"]
         assert main([command] + argv) == 3
         assert capsys.readouterr().err.startswith("relpick: error: ")
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--labels", "0\n1e20\n1\n", "labels must be integers"),
+        ("--labels", "0\nnan\n1\n", "labels must be integers"),
+        ("--embeddings", "1,0\n1e300,1\n0,1\n", "embedding matrix contains non-finite values"),
+        ("--probs", "1,0\n1e300,0\n0,1\n", "probability matrix contains non-finite values"),
+    ], ids=["labels-1e20", "labels-nan", "embeddings-1e300", "probs-1e300"])
+    def test_unrepresentable_value_is_one_error_line(self, fixture_files, flag, text, message):
+        # a child process, so that a numpy warning would reach its real
+        # stderr instead of pytest's warning capture
+        tmp, emb, conf = fixture_files
+        bad = tmp / "bad.txt"
+        bad.write_text(text)
+        inputs = {"--embeddings": emb, "--confidences": conf, flag: str(bad)}
+        if flag == "--probs":
+            del inputs["--confidences"]  # the two are mutually exclusive
+        src = str(Path(relpick.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "relpick.cli", "select", "--budget", "1",
+             *(arg for pair in inputs.items() for arg in pair)],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 3
+        prefix = f"{bad}: " if flag == "--labels" else ""
+        assert run.stderr == f"relpick: error: {prefix}{message}\n"
 
 
 class TestBenchCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from relpick import (
     ConfigError,
     FormatError,
     LabelVector,
+    NoiseFlagVector,
     ProbabilityMatrix,
     SelectionConfig,
     confidence_from_probs,
     ingest_embeddings,
 )
 from relpick.dataspec import (
+    load_labels,
     read_matrix,
     read_vector,
     write_matrix_binary,
@@ -178,6 +181,37 @@ class TestValidation:
     def test_label_range(self):
         with pytest.raises(DataError):
             LabelVector(np.array([0, 3]), class_count=3)
+
+    def test_labels_refuse_lossy_casts(self):
+        # a cast that changes a value (0.5 -> 0, 1e20 or nan -> -2^63) is
+        # refused; whole floats load
+        labels = LabelVector(np.array([1.0, 0.0]), 2)
+        assert labels.values.dtype == np.int64 and labels.values.tolist() == [1, 0]
+        for bad in ([0.5, 1.7], [1e20], [np.nan], [np.inf]):
+            with pytest.raises(DataError, match="label vector must be integers"):
+                LabelVector(np.array(bad), 2)
+
+    def test_noise_flags_refuse_lossy_casts(self):
+        # a cast that changes a value (0.5 or 2.0 -> True) is refused;
+        # 0.0 and 1.0 load
+        flags = NoiseFlagVector(np.array([1.0, 0.0]))
+        assert flags.values.dtype == bool and flags.values.tolist() == [True, False]
+        for bad in ([0.5, 2.0, 0.0], [-1], [np.nan]):
+            with pytest.raises(DataError, match="noise-flag vector must be 0 or 1"):
+                NoiseFlagVector(np.array(bad))
+
+    def test_empty_label_file_refused(self, tmp_path):
+        p = tmp_path / "y.bin"
+        write_matrix_binary(p, np.empty((0, 1), dtype=np.float32))
+        with pytest.raises(DataError, match="must be 1-D and non-empty"):
+            load_labels(p)
+
+    def test_config_budget_must_be_an_integer(self):
+        for bad in (2.5, 3.0, "3", None):
+            with pytest.raises(ConfigError, match="budget must be an integer"):
+                SelectionConfig(budget=bad)
+        cfg = SelectionConfig(budget=np.int64(3))
+        assert type(cfg.budget) is int and json.loads(json.dumps(cfg.to_dict()))["budget"] == 3
 
     def test_config_tau_range(self):
         with pytest.raises(ConfigError):
