@@ -160,6 +160,11 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     Graph construction is excluded from the per-step numbers. Returns a
     list of {algorithm, m, step, seconds} rows.
     """
+    if d < 1:
+        raise ConfigError(f"bench d must be >= 1, got {d}")
+    if seed < 0:
+        raise ConfigError(f"bench seed must be >= 0, got {seed}")
+    cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
     rows = []
     for m in sizes:
         if m < BENCH_MIN_M:
@@ -172,7 +177,6 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
         E, C, labels, _ = oracle.random_instance(
             seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2
         )
-        cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
         result = pruner.select_streaming(E, C, cfg)
         for step, t in enumerate(result.wall_times):
             rows.append({"algorithm": "prune4rel", "m": m, "step": step, "seconds": t})

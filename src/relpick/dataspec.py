@@ -2,10 +2,12 @@
 
 All array-backed types are immutable after construction (the underlying
 numpy buffers are marked read-only) and therefore safe to share across
-threads. Each converts its input through ``_array``, which refuses, with
-DataError, the wrong rank or an empty axis, a non-finite float, and a
-cast to an integer or boolean dtype that changes a value: labels of 0.5
-or 1e20 and noise flags of 2.0 are errors, not 0, -2^63 and True.
+threads; a writable input that needs no conversion is copied, so the
+caller's array is never frozen or shared. Each converts its input
+through ``_array``, which refuses, with DataError, the wrong rank or an
+empty axis, a non-finite float, and a cast to an integer or boolean
+dtype that changes a value: labels of 0.5 or 1e20 and noise flags of 2.0
+are errors, not 0, -2^63 and True.
 Embeddings may round from float64 to float32. A SelectionConfig budget
 must be an integer (``operator.index``); 2.5 is a ConfigError.
 
@@ -46,14 +48,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _clamp01(a: np.ndarray) -> np.ndarray:
+    """``a`` clipped to [0, 1]; ``a`` itself when no value lies outside, as
+    clipping would change none (-0.0 included)."""
+    return np.clip(a, 0.0, 1.0) if a.min() < 0.0 or a.max() > 1.0 else a
+
+
 def _array(values, dtype, ndim: int, what: str) -> np.ndarray:
     """``values`` as a C-contiguous array of ``dtype``, else DataError: a
     rank other than ``ndim`` or an empty axis, a non-finite float, or a
     cast to an integer or boolean dtype that changes a value (0.5 -> 0,
-    2.0 -> True, nan -> int64). Rounding to a narrower float is allowed."""
+    2.0 -> True, nan -> int64). Rounding to a narrower float is allowed.
+    An input it would return as is gets copied when writable, so the types
+    can freeze the result without freezing the caller's array; a
+    read-only input is shared."""
     raw = np.asarray(values)
     with np.errstate(all="ignore"):  # a lossy cast is refused below, not warned about
         a = np.ascontiguousarray(raw, dtype=dtype)
+    if a is raw and a.flags.writeable:
+        a = a.copy()
     if a.ndim != ndim or 0 in a.shape:
         raise DataError(f"{what} must be {ndim}-D and non-empty, got shape {a.shape}")
     if a.dtype.kind == "f":
@@ -102,8 +115,7 @@ class ConfidenceVector:
         if v.min() < -CONFIDENCE_SLACK or v.max() > 1.0 + CONFIDENCE_SLACK:
             i = int(np.argmax(np.maximum(-v, v - 1.0)))
             raise DataError(f"confidence value out of [0,1] at index {i}: {v[i]}")
-        v = np.clip(v, 0.0, 1.0)
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", _freeze(_clamp01(v)))
 
     @property
     def m(self) -> int:
@@ -124,7 +136,7 @@ class ProbabilityMatrix:
         bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-5)
         if bad.size:
             raise DataError(f"probability row {bad[0]} sums to {sums[bad[0]]:.8f}, not 1")
-        object.__setattr__(self, "data", _freeze(np.clip(p, 0.0, 1.0)))
+        object.__setattr__(self, "data", _freeze(_clamp01(p)))
 
     @property
     def m(self) -> int:
@@ -358,28 +370,26 @@ def ingest_embeddings(path: str | Path, average_groups: int | None = None) -> Em
     ``average_groups`` consecutive rows (one group per example, e.g.
     multiple augmentation embeddings) and unit-normalizing the result.
     """
-    E = EmbeddingMatrix(read_matrix(path))
+    # each array is made here, so it goes in read-only and is not copied
+    E = EmbeddingMatrix(_freeze(read_matrix(path)))
     if average_groups is None:
         return E
     if average_groups < 1:
         raise ConfigError("average_groups must be >= 1")
-    return EmbeddingMatrix(_mean_rows(E.data, average_groups), normalized=True)
+    return EmbeddingMatrix(_freeze(_mean_rows(E.data, average_groups)), normalized=True)
 
 
 def load_confidences(path: str | Path) -> ConfidenceVector:
-    return ConfidenceVector(read_vector(path))
+    return ConfidenceVector(_freeze(read_vector(path)))
 
 
 def load_labels(path: str | Path) -> LabelVector:
-    ids = _array(read_vector(path), np.int64, 1, f"{path}: labels")
+    ids = _freeze(_array(read_vector(path), np.int64, 1, f"{path}: labels"))
     return LabelVector(ids, class_count=int(ids.max()) + 1)
 
 
 def load_noise_flags(path: str | Path) -> NoiseFlagVector:
-    raw = read_vector(path)
-    if not np.isin(raw, (0.0, 1.0)).all():
-        raise DataError(f"{path}: noise flags must be 0 or 1")
-    return NoiseFlagVector(raw)
+    return NoiseFlagVector(_freeze(_array(read_vector(path), bool, 1, f"{path}: noise flags")))
 
 
 def confidence_from_probs(P: ProbabilityMatrix, metric: str = "maxprob") -> ConfidenceVector:
@@ -389,10 +399,10 @@ def confidence_from_probs(P: ProbabilityMatrix, metric: str = "maxprob") -> Conf
     the top two (requires at least two classes).
     """
     if metric == "maxprob":
-        return ConfidenceVector(P.data.max(axis=1))
+        return ConfidenceVector(_freeze(P.data.max(axis=1)))
     if metric == "diffprob":
         if P.c < 2:
             raise ConfigError("diffprob needs at least 2 classes")
         top2 = np.sort(P.data, axis=1)[:, -2:]
-        return ConfidenceVector(top2[:, 1] - top2[:, 0])
+        return ConfidenceVector(_freeze(top2[:, 1] - top2[:, 0]))
     raise ConfigError(f"unknown confidence metric {metric!r}")

@@ -103,6 +103,8 @@ def random_instance(
     off-cluster directions with confidences in [0.05, 0.35]."""
     if m < 1 or d < 1 or c < 1:
         raise DataError("m, d, c must all be >= 1")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if not (0.0 <= noise_fraction <= 1.0):
         raise DataError("noise_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -130,6 +132,8 @@ def random_instance(
 
     conf = rng.uniform(0.6, 0.95, size=m)
     conf[noisy] = rng.uniform(0.05, 0.35, size=n_noisy)
+    for a in (rows, conf, labels, noisy):  # made here: read-only, so the types share them
+        a.setflags(write=False)
 
     return (
         EmbeddingMatrix(rows, normalized=True),

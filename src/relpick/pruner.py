@@ -18,11 +18,12 @@ marginals (the classic (1 - 1/e) greedy guarantee): the objective is
 submodular, so a stale marginal is an upper bound, and refreshing heap
 tops until the freshest stays on top picks what a full pass would.
 
-An exact marginal is its row's own CSR segment sum, whether computed in
-the first full pass or in a CELF batch, so the two agree bit for bit.
-Each call runs over blocks of consecutive rows holding at most
-``_FILL_EDGES`` stored edges (a larger row is a block of its own), so its
-temporaries stay bounded whatever m. So a surrogate step costs a refresh
+One routine, ``_exact_gains``, computes every exact marginal: the first
+full pass and each CELF batch. A row's marginal is its own CSR segment
+sum, so the two agree bit for bit. Each call cuts its rows into runs
+holding at most ``_FILL_EDGES`` stored edges (a larger row is a run of
+its own) and writes each run's marginals into one output array, so its
+temporaries stay bounded whatever m. A surrogate step costs a refresh
 over the pick's neighbors plus one O(m) argmax; the streaming scan's
 update is dense, so its step stays O(m d).
 
@@ -218,43 +219,28 @@ def _self_gains(conf: np.ndarray, u: Utility):
     return lambda cn, rows: u(cn[rows] + conf[rows]) - u(cn[rows])
 
 
-def _segments(G: NeighborGraph, rows: np.ndarray):
-    """The positions of the stored edges of ``rows``, row after row in the
-    order given, with each row's count of them and its segment's start."""
-    lo = G.indptr[rows]
-    counts = G.indptr[rows + 1] - lo
-    starts = np.cumsum(counts) - counts
-    return np.arange(starts[-1] + counts[-1]) + np.repeat(lo - starts, counts), counts, starts
-
-
-def _blocks(G: NeighborGraph, rows):
-    """``rows`` (or all rows) cut, in the order given, into runs of
-    consecutive entries whose stored edges number at most ``_FILL_EDGES``
-    in all; a row holding more is a run of its own."""
-    if rows is _ALL:
-        rows, ends = np.arange(G.m), G.indptr[1:]
-    else:
-        ends = np.cumsum(G.indptr[rows + 1] - G.indptr[rows])
-    a = 0
-    while a < len(rows):
-        b = int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _FILL_EDGES, side="right"))
-        b = max(b, a + 1)
-        yield rows[a:b]
-        a = b
-
-
 def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
-    """Exact marginals at ``rows``: all rows, or any ids, gathered segment
-    by segment in blocks of ``_blocks``. A row's marginal is its own
-    segment sum whatever block holds it, so any two calls agree bit for
-    bit."""
-    def block(cn: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        at, counts, starts = _segments(G, rows)
-        inc = G.weights[at] * np.repeat(conf[rows], counts)  # w(x, j) C[x] in float64
-        return _marginals(cn, G.indices[at], inc, starts, u)
-
+    """Exact marginals at ``rows``: all rows (``_ALL``) or any ids, in the
+    order given. The rows are cut into runs of consecutive entries whose
+    stored edges number at most ``_FILL_EDGES`` in all (a row holding
+    more is a run of its own); each run's edges are gathered segment by
+    segment and its marginals written into one output array. A row's
+    marginal is its own segment sum whatever run holds it, so any two
+    calls agree bit for bit."""
     def gains_at(cn: np.ndarray, rows) -> np.ndarray:
-        return np.concatenate([block(cn, b) for b in _blocks(G, rows)])
+        lo = G.indptr[:-1][rows]
+        counts = G.indptr[1:][rows] - lo
+        ends = np.cumsum(counts)
+        starts = ends - counts  # of each row's edges, with the rows laid end to end
+        c, out, a = conf[rows], np.empty(len(lo)), 0
+        while a < len(lo):
+            b = max(int(np.searchsorted(ends, starts[a] + _FILL_EDGES, side="right")), a + 1)
+            n = counts[a:b]
+            at = np.arange(starts[a], ends[b - 1]) + np.repeat(lo[a:b] - starts[a:b], n)
+            inc = G.weights[at] * np.repeat(c[a:b], n)  # w(x, j) C[x] in float64
+            out[a:b] = _marginals(cn, G.indices[at], inc, starts[a:b] - starts[a], u)
+            a = b
+        return out
     return gains_at
 
 

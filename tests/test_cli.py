@@ -451,7 +451,8 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("relpick: error: ") and captured.out == ""
 
-    @pytest.mark.parametrize("bad", [["--tau", "2"], ["--steps", "0"]])
+    @pytest.mark.parametrize("bad", [["--tau", "2"], ["--steps", "0"], ["--seed", "-1"],
+                                     ["--d", "0"]])
     def test_bad_selection_config_exits_2(self, capsys, bad):
         assert main(["bench", "--sizes", "512", "--d", "8", *bad]) == 2
         captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from relpick import (
 )
 from relpick.dataspec import (
     load_labels,
+    load_noise_flags,
     read_matrix,
     read_vector,
     write_matrix_binary,
@@ -113,6 +115,23 @@ class TestReaders:
         p.write_bytes(b" 0.25\r\n\r\nx\r\n")
         with pytest.raises(FormatError, match=r"c\.txt:3: could not convert"):
             read_vector(p)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_noise_flags_load_as_bools(self, tmp_path, binary):
+        p = tmp_path / "f"
+        if binary:
+            write_vector_binary(p, np.array([1.0, 0.0, 1.0]))
+        else:
+            p.write_text("1\n0\n1.0\n")
+        flags = load_noise_flags(p)
+        assert flags.values.dtype == bool and flags.values.tolist() == [True, False, True]
+
+    @pytest.mark.parametrize("bad", ["2", "0.5", "nan"])
+    def test_noise_flags_must_be_0_or_1(self, tmp_path, bad):
+        p = tmp_path / "f.txt"
+        p.write_text(f"0\n{bad}\n1\n")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: noise flags must be 0 or 1$"):
+            load_noise_flags(p)
 
     def test_vector_needs_one_column(self, tmp_path):
         p = tmp_path / "m.bin"
@@ -222,6 +241,28 @@ class TestValidation:
     def test_config_bad_rule(self):
         with pytest.raises(ConfigError):
             SelectionConfig(budget=1, rule="sgd")
+
+    @pytest.mark.parametrize("view", [False, True])
+    @pytest.mark.parametrize("kind", ["embeddings", "labels", "flags"])
+    def test_caller_array_stays_writable_and_unshared(self, kind, view):
+        # an input that needs no conversion is copied, not frozen in place
+        mine, make = {
+            "embeddings": (np.ones((2, 3), dtype=np.float32), lambda a: EmbeddingMatrix(a).data),
+            "labels": (np.array([1, 0], dtype=np.int64), lambda a: LabelVector(a, 2).values),
+            "flags": (np.array([True, False]), lambda a: NoiseFlagVector(a).values),
+        }[kind]
+        given = mine[:] if view else mine
+        kept = make(given)
+        assert given.flags.writeable and not kept.flags.writeable
+        before = kept.copy()
+        mine[0] = 0
+        assert not np.array_equal(mine, before), "precondition: the write changes the array"
+        np.testing.assert_array_equal(kept, before)
+
+    def test_read_only_input_is_shared(self):
+        rows = np.ones((2, 3), dtype=np.float32)
+        rows.setflags(write=False)
+        assert EmbeddingMatrix(rows).data is rows
 
     def test_arrays_are_read_only(self):
         C = ConfidenceVector([0.5])

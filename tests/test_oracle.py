@@ -5,6 +5,7 @@ import pytest
 
 from relpick import (
     ConfidenceVector,
+    DataError,
     EmbeddingMatrix,
     SizeGuardError,
     Utility,
@@ -101,3 +102,7 @@ class TestRandomInstance:
     def test_noisy_confidences_depressed(self):
         _, C, _, flags = random_instance(11, m=100, d=8, c=4, noise_fraction=0.2)
         assert C.values[flags.values].max() < C.values[~flags.values].min()
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+            random_instance(-1, m=10, d=4, c=2)
