@@ -9,6 +9,7 @@ are the ground truth the fast paths are tested against.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -27,29 +28,47 @@ ENUMERATION_LIMIT = 10**6
 
 def naive_objective(E: EmbeddingMatrix, C: ConfidenceVector, tau: float, S, u) -> float:
     """Triple-loop objective from raw embeddings: for every example i,
-    accumulate indicator-thresholded cosine-weighted confidences over
-    the subset, apply the utility, and sum. ``u`` is any scalar-or-array
-    callable with u(0) = 0."""
+    accumulate the edge-weighted confidences over the subset, apply the
+    utility, and sum. ``u`` is any scalar-or-array callable with u(0) = 0.
+
+    The rows are scaled to unit length in float64, and a pair's weight is
+    the float32 nearest the exact dot product of its unit rows (ties to
+    even), an edge when it reaches tau."""
     data = E.data.astype(np.float64)
-    m = data.shape[0]
-    subset = [int(j) for j in S]
-    norms = [math.sqrt(float(np.dot(row, row))) for row in data]
-    if any(n == 0.0 for n in norms):
+    norms = np.linalg.norm(data, axis=1)
+    if np.any(norms == 0.0):
         raise DataError("zero-norm embedding row; cosine undefined")
+    U = data / norms[:, None]
+    subset = [int(j) for j in S]
     total = 0.0
-    for i in range(m):
+    for i in range(U.shape[0]):
         cn_i = 0.0
         for j in subset:
-            sim = float(np.dot(data[i], data[j])) / (norms[i] * norms[j])
-            sim = min(1.0, max(-1.0, sim))
-            if i == j:
-                sim = 1.0
-            # match the engine's float32 weight storage
-            sim = float(np.float32(sim))
-            if sim >= tau:
-                cn_i += sim * float(C.values[j])
+            w = _pair_weight(U[i], U[j])
+            if w >= tau:
+                cn_i += w * float(C.values[j])
         total += float(u(cn_i))
     return total
+
+
+def _pair_weight(x: np.ndarray, y: np.ndarray) -> float:
+    """The float32 nearest the exact x . y, ties to even. For rows of
+    length d and norm about 1, the float64 dot, summed in any order, lies
+    within d u / (1 - d u) (u = 2^-53) of the exact one; the bound below
+    doubles that. Unless a float32 rounding midpoint lies within the bound
+    of the float64 dot, the exact dot rounds as the float64 one does; else
+    a Fraction sum decides."""
+    dot = float(np.dot(x, y))
+    w = np.float32(dot)
+    below, above = np.nextafter(w, np.float32(-np.inf)), np.nextafter(w, np.float32(np.inf))
+    mids = ((float(below) + float(w)) / 2, (float(w) + float(above)) / 2)  # exact in float64
+    du = x.size * 2.0 ** -53
+    if min(abs(dot - mid) for mid in mids) > 2 * du / (1 - du):
+        return float(w)
+    exact = sum((Fraction(p) * Fraction(q) for p, q in zip(x.tolist(), y.tolist())), Fraction(0))
+    # nearest of the three, ties to the even significand
+    return float(min((below, w, above),
+                     key=lambda f: (abs(Fraction(float(f)) - exact), int(f.view(np.uint32)) & 1)))
 
 
 def dense_objective(W: np.ndarray, C: ConfidenceVector, S, u) -> float:

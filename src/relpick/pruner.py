@@ -8,8 +8,10 @@ Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
 confidence to the accumulator: a CSR row slice of a prebuilt graph
 (``select``), or an O(m d) on-the-fly similarity scan (``select_streaming``).
-The candidates form groups: all rows, or one group per present label
-class (balanced), visited round-robin. The ``surrogate`` policy picks the
+Only the loop knows the label classes: it forms the groups, all rows or
+one per present class (balanced), takes them round-robin, drops a class
+once all its rows are picked, and names to the policy the group to pick
+from. The ``surrogate`` policy picks the
 candidate of highest self gain u(cn[x] + C[x]) - u(cn[x]) (the method's
 cheap default) from one gains array, refreshed only where cn moved, at
 the pick's neighbors. The ``exact`` and ``lazy`` rules are one policy,
@@ -244,54 +246,45 @@ def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
     return gains_at
 
 
-def _best_of(groups, gains_at):
-    """Pick policy over one gains array kept across steps: ``gains_at``
-    fills it at the first step and refreshes it where the last update
-    moved cn, -inf once selected. It picks the candidate of highest gain
-    in the next (rows, ids) group, cycling over the groups; a group with
-    nothing left drops out of the cycle."""
-    groups, gains = deque(groups), None
+def _best_of(gains_at, m: int):
+    """Pick policy over one gains array of the m rows, kept across steps:
+    ``gains_at`` fills it at the first step and refreshes it where the
+    last update moved cn, -inf once selected. It picks the candidate of
+    highest gain among ``ids``, the rows of the group k whose turn it is;
+    one array serves every group, so k goes unused."""
+    gains = np.empty(m)
 
-    def pick(state: SelectionState, moved) -> tuple[int, float]:
-        nonlocal gains
-        if gains is None:
-            gains = np.empty(state.m)
+    def pick(state: SelectionState, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
         fresh = gains_at(state.cn, moved)
         fresh[state.selected_mask[moved]] = -np.inf
         gains[moved] = fresh
-        while True:
-            rows, ids = groups.popleft()
-            x = int(ids[gains[rows].argmax()])  # first max: lowest index
-            if gains[x] > -np.inf:  # gains are >= 0, so -inf means exhausted
-                groups.append((rows, ids))
-                g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
-                return x, g
+        rows = _ALL if ids.size == m else ids  # a group of all rows reads gains whole
+        x = int(ids[gains[rows].argmax()])  # first max: lowest index
+        g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
+        return x, g
     return pick
 
 
-def _celf(groups, gains_at):
-    """Lazy pick policy over exact marginals, one heap per (rows, ids)
-    group, visited round-robin; a group with nothing left drops out.
+def _celf(gains_at):
+    """Lazy pick policy over exact marginals, one heap per group k.
     Stale gains are upper bounds by submodularity, so a heap top only
     needs refreshing until the freshest entry stays on top. The first
-    pick fills every heap from one ``gains_at`` pass over all rows; each
-    refresh pops up to ``_CELF_BATCH`` consecutive stale tops and
-    recomputes them in one ``gains_at`` call, so the rows the last update
-    moved go unused. The (-gain, index) keys keep ties on the lowest
-    index."""
-    heaps = deque()
+    pick computes one ``gains_at`` pass over all rows, and each group's
+    heap is filled from that pass at the group's first turn; each refresh
+    pops up to ``_CELF_BATCH`` consecutive stale tops and recomputes them
+    in one ``gains_at`` call, so the rows the last update moved go
+    unused. The (-gain, index) keys keep ties on the lowest index."""
+    heaps, first = {}, None
 
-    def pick(state: SelectionState, moved) -> tuple[int, float]:
+    def pick(state: SelectionState, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
+        nonlocal first
         step = len(state.selected)
         if step == 0:
-            gains = gains_at(state.cn, _ALL)
-            for rows, ids in groups:
-                heaps.append([(-g, x, 0) for g, x in zip(gains[rows].tolist(), ids.tolist())])
-                heapq.heapify(heaps[-1])
-        heap = heaps.popleft()
-        while not heap:  # all picked: the group drops out
-            heap = heaps.popleft()
-        heaps.append(heap)
+            first = gains_at(state.cn, _ALL)
+        if k not in heaps:
+            heaps[k] = [(-g, x, 0) for g, x in zip(first[ids].tolist(), ids.tolist())]
+            heapq.heapify(heaps[k])
+        heap = heaps[k]
         while heap[0][2] != step:
             stale = []
             while heap and heap[0][2] != step and len(stale) < _CELF_BATCH:
@@ -327,11 +320,15 @@ def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
     return update
 
 
-def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update) -> SelectionResult:
-    """The greedy loop, over a budget clamped to the population. Each step
-    asks the pick policy for a candidate and its gain, passing the rows
-    the last update moved (all rows at the first step), then adds the pick
-    to the accumulator.
+def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels, pick, update) -> SelectionResult:
+    """The greedy loop, over a budget clamped to the population. The
+    candidates form groups: all rows when ``labels`` is None, else one
+    group per present label class, in id order, each its members in
+    ascending index. The groups take turns, and a group drops out once
+    all its rows are picked. Each step asks the pick policy for a
+    candidate of the group k whose turn it is, and its gain, passing the
+    rows the last update moved (all rows at the first step), then adds
+    the pick to the accumulator.
     wall_times cover each step's pick and update. The objective trace,
     kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over the
     rows it reached."""
@@ -339,11 +336,18 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, pick, update) -> Selection
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
     state = SelectionState(m=m, budget=min(cfg.budget, m))
+    labels = np.zeros(m, np.int8) if labels is None else labels  # all rows: one class
+    by_class = np.argsort(labels, kind="stable")  # each class's members in ascending index
+    groups = np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1)
+    turns = deque((k, ids.size) for k, ids in enumerate(groups))  # (group, rows left)
     picked, trace, wall_times = [], [], []
     total, moved = 0.0, _ALL
     while len(state.selected) < state.budget:
         t0 = time.perf_counter()
-        x, g = pick(state, moved)
+        k, left = turns.popleft()
+        x, g = pick(state, moved, k, groups[k])
+        if left > 1:
+            turns.append((k, left - 1))
         moved, inc = update(state.cn, x)
         state.selected_mask[x] = True
         state.selected.append(x)
@@ -377,19 +381,12 @@ def select(
     if labels is not None and not cfg.balanced:
         notes.append("labels are used only by balanced selection; ignored")
     u = utility_from_config(cfg)
-    if cfg.balanced:
-        # one stable sort: each present class's members in ascending index,
-        # classes in id order; ids with no members form no group
-        by_class = np.argsort(labels.values, kind="stable")
-        members = np.split(by_class, np.flatnonzero(np.diff(labels.values[by_class])) + 1)
-        groups = [(r, r) for r in members]
-    else:
-        groups = [(_ALL, np.arange(G.m))]
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
-        pick = _best_of(groups, _self_gains(C.values, u))
+        pick = _best_of(_self_gains(C.values, u), G.m)
     else:  # exact and lazy: one CELF computation
-        pick = _celf(groups, _exact_gains(G, C.values, u))
-    result = _greedy(G.m, cfg, u, pick, _graph_rows(G, C.values))
+        pick = _celf(_exact_gains(G, C.values, u))
+    result = _greedy(G.m, cfg, u, labels.values if cfg.balanced else None, pick,
+                     _graph_rows(G, C.values))
     return replace(result, warnings=result.warnings + notes)
 
 
@@ -406,7 +403,7 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
         raise DataError(f"confidence length {C.m} != population {E.m}")
     u = utility_from_config(cfg)
     update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
-    return _greedy(E.m, cfg, u, _best_of([(_ALL, range(E.m))], _self_gains(C.values, u)), update)
+    return _greedy(E.m, cfg, u, None, _best_of(_self_gains(C.values, u), E.m), update)
 
 
 @dataclass(frozen=True)

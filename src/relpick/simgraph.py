@@ -112,14 +112,20 @@ class NeighborGraph:
         return W
 
     def validate(self) -> None:
-        """Accept exactly what ``build_graph`` writes, in O(nnz), one band of
-        _BAND_ROWS rows at a time: beside the graph it holds O(m) arrays
-        and one band's temporaries.
+        """Accept exactly what ``build_graph`` writes, in O(nnz), in one walk
+        over bands of _BAND_ROWS rows: beside the graph it holds O(m)
+        arrays and one band's temporaries.
 
-        Symmetry with equal weights holds when the upper edges (column >
-        row), handed out in row-major order to the rows of their columns,
-        each row filled from its start as ``build_graph`` fills it, land on
-        exactly the lower edges (column < row) with row and column swapped."""
+        Each band is checked for self-loops and for columns increasing
+        within each row, and its upper edges (column > row), in row-major
+        order, are handed to the rows of their columns, each row filled
+        from its start as ``build_graph`` fills it; an edge's slot must lie
+        before the end of its column's row and hold the lower edge (column
+        < row) with row, column and weight swapped. Once every row's fill
+        stops at its self-loop, every lower edge was matched, so the
+        adjacency is symmetric with equal weights. A missing self-loop is
+        reported first, then columns that do not strictly increase, then
+        asymmetry."""
         if self.indptr.shape != (self.m + 1,) or self.indptr[0] != 0:
             raise DataError("graph: malformed row offsets")
         if np.any(np.diff(self.indptr) < 0):
@@ -135,7 +141,9 @@ class NeighborGraph:
         if w_lo < edge_threshold(self.tau) or w_hi > 1.0:
             raise DataError("graph: edge weight outside [tau, 1]")
         loop = np.empty(self.m, dtype=np.int64)  # each row's self-loop position
-        rising = True
+        fill = self.indptr[:-1].copy()  # each row's next lower edge to match
+        # A NaN weight passes the range check but equals nothing.
+        rising, symmetric = True, not np.isnan(w_lo)
         for lo, hi, rows in _row_bands(self.indptr):
             s = self.indptr[lo]
             c = cols[s:s + rows.size]
@@ -148,24 +156,17 @@ class NeighborGraph:
             up[self.indptr[lo + 1:hi] - s - 1] = True  # every row holds its self-loop, so none is empty
             rising &= bool(up.all())  # raised once every row's self-loop is checked
             loop[lo:hi] = s + hits[:hi - lo]  # one self-loop per row when rising
+            if symmetric:  # else only the structure is left to check
+                upper = np.flatnonzero(c > rows)
+                by_col = upper[_stable_order(c[upper], self.m)]  # each column's upper edges in ascending row
+                j = c[by_col]
+                at = _slots(fill, j)
+                symmetric = (not np.any(at >= self.indptr[j + 1])  # more upper edges than the row holds
+                             and np.array_equal(cols[at], rows[by_col])
+                             and np.array_equal(w[at], w[s + by_col]))
         if not rising:
             raise DataError("graph: column ids not strictly increasing within a row")
-        # A NaN weight passes the range check but equals nothing.
-        if np.isnan(w_lo):
-            raise DataError("graph: adjacency is not symmetric")
-        fill = self.indptr[:-1].copy()  # each row's next lower edge to match
-        for lo, hi, rows in _row_bands(self.indptr):
-            s = self.indptr[lo]
-            c = cols[s:s + rows.size]
-            up = np.flatnonzero(c > rows)
-            by_col = up[_stable_order(c[up], self.m)]  # each column's upper edges in ascending row
-            j = c[by_col]
-            at = _slots(fill, j)
-            if (np.any(at >= loop[j])  # more upper edges than lower ones
-                    or not np.array_equal(cols[at], rows[by_col])
-                    or not np.array_equal(w[at], w[s + by_col])):
-                raise DataError("graph: adjacency is not symmetric")
-        if not np.array_equal(fill, loop):
+        if not (symmetric and np.array_equal(fill, loop)):
             raise DataError("graph: adjacency is not symmetric")
 
 

@@ -14,6 +14,8 @@ from relpick import (
 )
 from relpick.oracle import brute_force_optimum, naive_objective, random_instance
 
+from conftest import band_pair
+
 
 class TestNaiveObjective:
     def test_empty_subset(self, orthogonal3):
@@ -35,6 +37,17 @@ class TestNaiveObjective:
             fast = objective(G, C, S, Utility.tanh())
             slow = naive_objective(E, C, tau, S, math.tanh)
             assert fast == pytest.approx(slow, abs=1e-7)
+
+    def test_matches_engine_on_a_band_pair(self):
+        # the pair's float64 cosines lie within the rounding band of a
+        # float32 midpoint, so only the exact dot decides its weight; at
+        # tau equal to that weight the pair is still an edge
+        E, _ = band_pair()
+        C = ConfidenceVector([0.5, 0.7])
+        w = float(build_graph(E, 0.5).neighbors(0)[1][1])
+        for tau in (0.5, w):
+            fast = objective(build_graph(E, tau), C, [0], Utility.tanh())
+            assert naive_objective(E, C, tau, [0], math.tanh) == pytest.approx(fast, abs=1e-12)
 
 
 class TestBruteForce:

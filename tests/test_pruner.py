@@ -470,6 +470,17 @@ class TestSelect:
         cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
         assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
 
+    @pytest.mark.parametrize("rule", ["surrogate", "exact"])
+    def test_balanced_takes_classes_in_id_order_and_drops_spent_ones(self, rule):
+        # classes 0, 1 and 2 hold 1, 2 and 4 rows
+        E = EmbeddingMatrix(np.eye(7, dtype=np.float32), normalized=True)
+        C = ConfidenceVector(np.linspace(0.9, 0.3, 7))
+        labels = LabelVector(np.array([2, 1, 2, 0, 2, 1, 2]), class_count=3)
+        G = build_graph(E, 0.5)
+        cfg = SelectionConfig(budget=7, tau=0.5, rule=rule, balanced=True)
+        order = select(G, C, labels, cfg).order
+        assert labels.values[order].tolist() == [0, 1, 2, 1, 2, 2, 2]
+
     def test_balanced_lazy_equals_balanced_exact_without_a_warning(self):
         E, C, labels, _ = oracle.random_instance(7, m=60, d=6, c=3, cluster_spread=0.3)
         G = build_graph(E, 0.6)

@@ -372,6 +372,37 @@ class TestValidate:
         with pytest.raises(DataError, match="column ids not strictly increasing"):
             load_saved(tmp_path, replace(G, indices=cols))
 
+    def test_missing_self_loop_raised_past_an_asymmetric_band(self, tmp_path, monkeypatch):
+        # band 0 holds the edge (0, 1) with no mirror, band 2 a row 5 with no
+        # self-loop: the self-loops of every band are checked first
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 2)
+        G = hand_graph(6, [(0, 1, 0.95)])
+        cols = G.indices.copy()
+        cols[-1] = 4
+        with pytest.raises(DataError, match="missing self-loop at row 5"):
+            load_saved(tmp_path, replace(G, indices=cols))
+
+    @pytest.mark.parametrize("unsorted_row,lonely", [(0, (4, 5)), (4, (0, 1))])
+    def test_unsorted_columns_raised_before_asymmetry(self, tmp_path, monkeypatch,
+                                                      unsorted_row, lonely):
+        # one band holds a row with its two columns swapped, another an edge
+        # with no mirror, in either order
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", 2)
+        pair = (unsorted_row, unsorted_row + 1)
+        G = hand_graph(6, [(*pair, 0.95), (*pair[::-1], 0.95), (*lonely, 0.95)])
+        cols = G.indices.copy()
+        lo = G.indptr[unsorted_row]
+        cols[lo:lo + 2] = cols[lo:lo + 2][::-1].copy()
+        with pytest.raises(DataError, match="column ids not strictly increasing"):
+            load_saved(tmp_path, replace(G, indices=cols))
+
+    def test_more_upper_edges_than_the_column_row_holds(self, tmp_path):
+        # column 2, the last row, gets two upper edges but holds one entry:
+        # the second would land past the end of the column ids
+        G = hand_graph(3, [(0, 2, 0.95), (1, 2, 0.95)])
+        with pytest.raises(DataError, match="not symmetric"):
+            load_saved(tmp_path, G)
+
     def test_nan_weight_rejected(self, tmp_path):
         G = hand_graph(3, [(0, 1, 0.95), (1, 0, 0.95)])
         w = G.weights.copy()
