@@ -2,7 +2,8 @@
 the scaling bench.
 
 Exit codes: 0 success, 2 usage/config, 3 data/format (including a file
-that cannot be read or written), 4 size guard.
+that cannot be read or written, and input files of different lengths),
+4 size guard.
 """
 
 from __future__ import annotations
@@ -51,17 +52,13 @@ def _load_embeddings(args):
     return ingest_embeddings(args.embeddings, average_groups=args.average_groups)
 
 
-def _load_confidence(args, m: int) -> ConfidenceVector:
+def _load_confidence(args) -> ConfidenceVector:
     if args.confidences:
         if args.metric:
             raise ConfigError("--metric applies only to --probs")
-        C = load_confidences(args.confidences)
-    else:
-        C = confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)),
-                                  metric=args.metric or "maxprob")
-    if C.m != m:
-        raise ConfigError(f"confidence length {C.m} does not match {m} examples")
-    return C
+        return load_confidences(args.confidences)
+    return confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)),
+                                 metric=args.metric or "maxprob")
 
 
 def _read_order(path: str):
@@ -102,17 +99,14 @@ def cmd_select(args) -> int:
         rule=args.rule,
         balanced=args.balanced,
     )
-    if cfg.balanced and not args.labels:
-        raise ConfigError("--balanced requires --labels")
     E = _load_embeddings(args)
-    C = _load_confidence(args, E.m)
+    C = _load_confidence(args)
     labels = load_labels(args.labels) if args.labels else None
-    if labels is not None and labels.m != E.m:
-        raise DataError(f"label length {labels.m} does not match {E.m} examples")
+    pruner.check_inputs(E.m, C, labels, cfg)
     if args.graph:
         G = simgraph.load_graph(args.graph)
         if G.m != E.m:
-            raise ConfigError(f"graph size {G.m} does not match {E.m} embeddings")
+            raise DataError(f"graph size {G.m} does not match {E.m} embeddings")
         if args.tau is not None and args.tau != G.tau:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
         source = "cache"
@@ -128,7 +122,8 @@ def cmd_select(args) -> int:
 def cmd_oracle(args) -> int:
     # the inputs and the enumeration guard are checked before the build
     E = _load_embeddings(args)
-    C = _load_confidence(args, E.m)
+    C = _load_confidence(args)
+    pruner.check_inputs(E.m, C)
     achieved = pruner.check_subset(E.m, _read_order(args.result)) if args.result else None
     oracle.check_enumeration(E.m, args.budget)
     G = simgraph.build_graph(E, args.tau)
@@ -157,16 +152,16 @@ def cmd_oracle(args) -> int:
 def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     """Per-step selection timings for the greedy engine vs k-center.
 
-    Graph construction is excluded from the per-step numbers. Returns a
-    list of {algorithm, m, step, seconds} rows.
+    Graph construction is excluded from the per-step numbers. Every size
+    is checked before the first one runs. Returns a list of {algorithm,
+    m, step, seconds} rows.
     """
     if d < 1:
         raise ConfigError(f"bench d must be >= 1, got {d}")
     if seed < 0:
         raise ConfigError(f"bench seed must be >= 0, got {seed}")
     cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
-    rows = []
-    for m in sizes:
+    for m in sizes:  # every size is checked before any runs
         if m < BENCH_MIN_M:
             raise ConfigError(
                 f"bench needs m >= {BENCH_MIN_M} for stable timings; "
@@ -174,6 +169,8 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
             )
         if steps > m:
             raise ConfigError(f"steps {steps} exceeds m {m}")
+    rows = []
+    for m in sizes:
         E, C, labels, _ = oracle.random_instance(
             seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2
         )

@@ -218,6 +218,8 @@ class SelectionConfig:
             raise ConfigError(f"unknown rule {self.rule!r}, expected one of {SELECTION_RULES}")
         if self.utility == "piecewise" and not self.utility_knots:
             raise ConfigError("piecewise utility requires utility_knots")
+        if self.utility != "piecewise" and self.utility_knots is not None:
+            raise ConfigError("utility_knots apply only to the piecewise utility")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -369,13 +371,14 @@ def ingest_embeddings(path: str | Path, average_groups: int | None = None) -> Em
     """Load an embedding matrix, optionally mean-reducing groups of
     ``average_groups`` consecutive rows (one group per example, e.g.
     multiple augmentation embeddings) and unit-normalizing the result.
+    ``average_groups`` is checked before the file is read.
     """
+    if average_groups is not None and average_groups < 1:
+        raise ConfigError("average_groups must be >= 1")
     # each array is made here, so it goes in read-only and is not copied
     E = EmbeddingMatrix(_freeze(read_matrix(path)))
     if average_groups is None:
         return E
-    if average_groups < 1:
-        raise ConfigError("average_groups must be >= 1")
     return EmbeddingMatrix(_freeze(_mean_rows(E.data, average_groups)), normalized=True)
 
 

@@ -31,6 +31,12 @@ update is dense, so its step stays O(m d).
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
+
+``check_inputs`` is the one check that the confidence, label and
+noise-flag vectors hold one entry per example, and that balanced
+selection has labels. ``select``, ``select_streaming``, ``objective``
+and ``evaluate_subset`` call it before any work, and the CLI calls it
+before it builds or loads a graph.
 """
 
 from __future__ import annotations
@@ -179,9 +185,25 @@ def check_subset(m: int, S) -> list[int]:
     return idx
 
 
+def check_inputs(m: int, C: ConfidenceVector, labels: LabelVector | None = None,
+                 cfg: SelectionConfig | None = None,
+                 noise_flags: NoiseFlagVector | None = None) -> None:
+    """Refuse inputs that do not describe one population of m examples:
+    balanced selection (``cfg.balanced``) without labels is a
+    ConfigError, and a confidence, label or noise-flag vector that does
+    not hold exactly m entries is a DataError."""
+    if cfg is not None and cfg.balanced and labels is None:
+        raise ConfigError("balanced selection requires labels")
+    for what, v in (("confidence", C), ("label", labels), ("noise-flag", noise_flags)):
+        if v is not None and v.m != m:
+            raise DataError(f"{what} length {v.m} does not match {m} examples")
+
+
 def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
     """Total utility of the subset's neighborhood confidence, computed
-    from scratch."""
+    from scratch. A confidence vector of another length than the graph's
+    is a DataError."""
+    check_inputs(G.m, C)
     idx = check_subset(G.m, S)
     return float(u(recompute_cn(G, C, idx)).sum())
 
@@ -367,13 +389,9 @@ def select(
     labels: LabelVector | None,
     cfg: SelectionConfig,
 ) -> SelectionResult:
-    """Run the configured greedy selection and return the full trace."""
-    if C.m != G.m:
-        raise DataError(f"confidence length {C.m} != graph size {G.m}")
-    if cfg.balanced and labels is None:
-        raise ConfigError("balanced selection requires labels")
-    if labels is not None and labels.m != G.m:
-        raise DataError(f"label length {labels.m} != graph size {G.m}")
+    """Run the configured greedy selection and return the full trace.
+    The inputs are checked first by ``check_inputs``."""
+    check_inputs(G.m, C, labels, cfg)
     if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
         raise DataError("exact marginals need every graph row to hold its self-loop")
     cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
@@ -395,12 +413,12 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
     the chosen example on the fly (O(m d) per step), so no neighborhood
     graph is ever built. Produces the same order as rule='surrogate'
     with a prebuilt graph at the same tau; used by the scaling bench,
-    where per-step cost is the quantity under test.
+    where per-step cost is the quantity under test. A confidence vector
+    of another length than E's is a DataError.
     """
     if cfg.rule != "surrogate" or cfg.balanced:
         raise ConfigError("streaming selection supports only the plain surrogate rule")
-    if C.m != E.m:
-        raise DataError(f"confidence length {C.m} != population {E.m}")
+    check_inputs(E.m, C)
     u = utility_from_config(cfg)
     update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
     return _greedy(E.m, cfg, u, None, _best_of(_self_gains(C.values, u), E.m), update)
@@ -431,13 +449,14 @@ def evaluate_subset(
     noise_flags: NoiseFlagVector | None = None,
 ) -> SubsetReport:
     """Objective, accumulator distribution, coverage, and (when flags
-    are supplied) the fraction of selected examples that are noisy."""
+    are supplied) the fraction of selected examples that are noisy. A
+    confidence or noise-flag vector of another length than the graph's
+    is a DataError."""
+    check_inputs(G.m, C, noise_flags=noise_flags)
     idx = check_subset(G.m, S)
     cn = recompute_cn(G, C, idx)
     noise_ratio = None
     if noise_flags is not None:
-        if noise_flags.m != G.m:
-            raise DataError("noise-flag length mismatch")
         noise_ratio = (
             float(noise_flags.values[idx].sum()) / len(idx) if idx else 0.0
         )

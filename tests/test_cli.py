@@ -59,6 +59,12 @@ class TestGraphCommand:
         _, emb, _ = fixture_files
         assert main(["graph", "--embeddings", emb, "--tau", "1.5"]) == 2
 
+    def test_average_groups_checked_before_the_file_is_read(self, tmp_path, capsys):
+        rc = main(["graph", "--embeddings", str(tmp_path / "missing.bin"), "--tau", "0.5",
+                   "--average-groups", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "relpick: error: average_groups must be >= 1\n"
+
     def test_bad_embedding_file_exits_3(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -121,7 +127,7 @@ class TestSelectCommand:
         (["--budget", "1", "--balanced"], 2),  # no --labels
         (["--budget", "1", "--tau", "1.5"], 2),
         (["--budget", "1", "--labels", "short"], 3),
-        (["--budget", "1", "--confidences", "short"], 2),
+        (["--budget", "1", "--confidences", "short"], 3),
     ])
     @pytest.mark.parametrize("cached", [False, True])
     def test_inputs_checked_before_the_graph(self, fixture_files, monkeypatch, capsys,
@@ -141,6 +147,30 @@ class TestSelectCommand:
             argv += ["--graph", str(tmp / "g.bin")]
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("relpick: error: ")
+
+    def test_graph_cache_of_another_size_exits_3(self, fixture_files, capsys):
+        tmp, emb, conf = fixture_files
+        other = tmp / "e4.bin"
+        write_matrix_binary(other, np.eye(4, dtype=np.float32))
+        assert main(["graph", "--embeddings", str(other), "--tau", "0.5",
+                     "--out", str(tmp / "g4.bin")]) == 0
+        capsys.readouterr()
+        rc = main(["select", "--embeddings", emb, "--confidences", conf, "--budget", "1",
+                   "--graph", str(tmp / "g4.bin")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "relpick: error: graph size 4 does not match 3 embeddings\n")
+
+    @pytest.mark.parametrize("flag", ["--confidences", "--labels"])
+    def test_length_mismatch_message(self, fixture_files, capsys, flag):
+        tmp, emb, conf = fixture_files
+        write_vector_text(tmp / "long", np.array([1.0, 0.0, 1.0, 0.0]))
+        argv = ["select", "--embeddings", emb, "--budget", "1", flag, str(tmp / "long")]
+        if flag != "--confidences":
+            argv += ["--confidences", conf]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            f"relpick: error: {flag[2:-1]} length 4 does not match 3 examples\n")
 
     def test_relgrph1_cache_exits_3(self, fixture_files, capsys):
         tmp, emb, conf = fixture_files
@@ -323,6 +353,19 @@ class TestOracleCommand:
         assert rc == 3
         assert capsys.readouterr().err.startswith("relpick: error: ")
 
+    def test_short_confidence_file_exits_3(self, fixture_files, monkeypatch, capsys):
+        tmp, emb, _ = fixture_files
+        write_vector_text(tmp / "short", np.array([1.0, 0.0]))  # 2 values for 3 examples
+
+        def no_graph(*args):
+            raise AssertionError("the graph was built before the confidences were checked")
+        monkeypatch.setattr(simgraph, "build_graph", no_graph)
+        rc = main(["oracle", "--embeddings", emb, "--confidences", str(tmp / "short"),
+                   "--budget", "1", "--tau", "0.5"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "relpick: error: confidence length 2 does not match 3 examples\n")
+
     def test_oversize_instance_exits_4(self, tmp_path):
         emb = tmp_path / "e.bin"
         conf = tmp_path / "c.txt"
@@ -444,6 +487,13 @@ class TestFileErrors:
 class TestBenchCommand:
     def test_refuses_tiny_populations(self):
         assert main(["bench", "--sizes", "64", "--steps", "8"]) == 2
+
+    def test_every_size_is_checked_before_any_runs(self, monkeypatch, capsys):
+        def no_instance(*args, **kwargs):
+            raise AssertionError("a size ran before every size was checked")
+        monkeypatch.setattr(oracle, "random_instance", no_instance)
+        assert main(["bench", "--sizes", "512,64", "--steps", "8"]) == 2
+        assert "got 64" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sizes", ["2048,abc", ""])
     def test_malformed_sizes_exit_2(self, capsys, sizes):

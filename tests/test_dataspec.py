@@ -238,6 +238,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SelectionConfig(budget=1, tau=1.5)
 
+    def test_config_knots_only_with_piecewise(self):
+        with pytest.raises(ConfigError, match="utility_knots apply only to the piecewise"):
+            SelectionConfig(budget=1, utility="tanh", utility_knots=((0, 0), (1, 1)))
+        cfg = SelectionConfig(budget=1, utility="piecewise", utility_knots=((0, 0), (1, 1)))
+        assert cfg.to_dict()["utility_knots"] == [[0, 0], [1, 1]]
+
     def test_config_bad_rule(self):
         with pytest.raises(ConfigError):
             SelectionConfig(budget=1, rule="sgd")

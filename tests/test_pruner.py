@@ -143,6 +143,28 @@ class TestObjective:
             objective(G, C, S, Utility.tanh())
 
 
+class TestCheckInputs:
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("score", [
+        lambda E, G, C: objective(G, C, [0, 1, 2], Utility.tanh()),
+        lambda E, G, C: evaluate_subset(G, C, [0, 1, 2], Utility.tanh()),
+        lambda E, G, C: select(G, C, None, SelectionConfig(budget=3, tau=0.5)),
+        lambda E, G, C: select_streaming(E, C, SelectionConfig(budget=3, tau=0.5)),
+    ], ids=["objective", "evaluate_subset", "select", "select_streaming"])
+    def test_confidences_of_another_length_refused(self, orthogonal3, score, n):
+        E, _, G = orthogonal3
+        C = ConfidenceVector(np.full(n, 0.5))
+        with pytest.raises(DataError, match=f"^confidence length {n} does not match 3 examples$"):
+            score(E, G, C)
+
+    def test_labels_and_noise_flags_of_another_length_refused(self, orthogonal3):
+        _, C, G = orthogonal3
+        with pytest.raises(DataError, match="^label length 2 does not match 3 examples$"):
+            select(G, C, LabelVector([0, 1], 2), SelectionConfig(budget=1, balanced=True))
+        with pytest.raises(DataError, match="^noise-flag length 4 does not match 3 examples$"):
+            evaluate_subset(G, C, [0], Utility.tanh(), NoiseFlagVector(np.zeros(4, bool)))
+
+
 class TestGains:
     def test_surrogate_fresh_state(self, orthogonal3):
         _, _, G = orthogonal3
