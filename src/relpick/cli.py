@@ -103,12 +103,13 @@ def cmd_select(args) -> int:
     C = _load_confidence(args)
     labels = load_labels(args.labels) if args.labels else None
     pruner.check_inputs(E.m, C, labels, cfg)
-    if args.graph:
+    if args.graph:  # a cache of another size or tau is refused from its header alone
+        m, tau, _ = simgraph.graph_header(args.graph)
+        if m != E.m:
+            raise DataError(f"graph size {m} does not match {E.m} embeddings")
+        if args.tau is not None and args.tau != tau:
+            raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {tau}")
         G = simgraph.load_graph(args.graph)
-        if G.m != E.m:
-            raise DataError(f"graph size {G.m} does not match {E.m} embeddings")
-        if args.tau is not None and args.tau != G.tau:
-            raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {G.tau}")
         source = "cache"
     else:
         G = simgraph.build_graph(E, cfg.tau)
@@ -125,6 +126,9 @@ def cmd_oracle(args) -> int:
     C = _load_confidence(args)
     pruner.check_inputs(E.m, C)
     achieved = pruner.check_subset(E.m, _read_order(args.result)) if args.result else None
+    if achieved is not None and len(achieved) != args.budget:  # a ratio compares equal sizes
+        raise DataError(f"{args.result}: result holds {len(achieved)} picks, not --budget "
+                        f"{args.budget}")
     oracle.check_enumeration(E.m, args.budget)
     G = simgraph.build_graph(E, args.tau)
     u = pruner.UTILITIES[args.utility]()

@@ -8,15 +8,18 @@ through ``_array``, which refuses, with DataError, the wrong rank or an
 empty axis, a non-finite float, and a cast to an integer or boolean
 dtype that changes a value: labels of 0.5 or 1e20 and noise flags of 2.0
 are errors, not 0, -2^63 and True.
-Embeddings may round from float64 to float32. A SelectionConfig budget
+Embeddings may round from float64 to float32. Their rows need not be
+unit length: the graph build and the streaming scan normalise a copy,
+and k-center reads the rows as given. Label ids are non-negative
+integers, and the classes are the ids present. A SelectionConfig budget
 must be an integer (``operator.index``); 2.5 is a ConfigError.
 
 Binary matrix format: 8-byte magic ``RELPICK1``, then u64 row count,
 u64 column count, then rows*cols little-endian float32 values row-major.
 Vectors reuse the same container with a single column. Readers pick the
 format from the file itself: a file that starts with the magic is binary,
-any other is text, one comma-separated row per line (one value per line
-for a vector).
+any other is text, UTF-8 with one comma-separated row per line (one
+value per line for a vector); a leading byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -82,17 +85,9 @@ class EmbeddingMatrix:
     """Dense m x d matrix of per-example representations (float32)."""
 
     data: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         data = _array(self.data, np.float32, 2, "embedding matrix")
-        if self.normalized:
-            norms = np.linalg.norm(data.astype(np.float64), axis=1)
-            bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-6)
-            if bad.size:
-                raise DataError(
-                    f"normalized flag set but row {bad[0]} has L2 norm {norms[bad[0]]:.8f}"
-                )
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -149,20 +144,14 @@ class ProbabilityMatrix:
 
 @dataclass(frozen=True)
 class LabelVector:
-    """Per-example (possibly noisy) class ids in [0, class_count)."""
+    """Per-example (possibly noisy) class ids, non-negative integers."""
 
     values: np.ndarray
-    class_count: int
 
     def __post_init__(self):
         v = _array(self.values, np.int64, 1, "label vector")
-        if self.class_count < 1:
-            raise DataError("class_count must be >= 1")
-        if v.min() < 0 or v.max() >= self.class_count:
-            raise DataError(
-                f"label ids must lie in [0, {self.class_count}), got range "
-                f"[{v.min()}, {v.max()}]"
-            )
+        if v.min() < 0:
+            raise DataError(f"label ids must be non-negative, got {v.min()}")
         object.__setattr__(self, "values", _freeze(v))
 
     @property
@@ -275,7 +264,7 @@ def write_matrix_binary(path: str | Path, data: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(MATRIX_MAGIC)
         f.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-        f.write(a.tobytes())
+        a.tofile(f)  # from the array's own buffer, no bytes copy
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
@@ -312,10 +301,11 @@ def _read(path: str | Path) -> np.ndarray:
 
 
 def _read_text(path: str | Path) -> np.ndarray:
-    # Undecodable bytes become U+FFFD, which float() rejects at their line.
+    # Undecodable bytes become U+FFFD, which float() rejects at their line;
+    # a leading byte-order mark, as spreadsheets write, is skipped.
     flat: list[float] = []
     width = None
-    with open(path, encoding="utf-8", errors="replace") as f:
+    with open(path, encoding="utf-8-sig", errors="replace") as f:
         # A single column, one float() per non-blank line, takes this one
         # pass; any text it rejects is read again by the loop below, which
         # names the line and the fault.
@@ -379,7 +369,7 @@ def ingest_embeddings(path: str | Path, average_groups: int | None = None) -> Em
     E = EmbeddingMatrix(_freeze(read_matrix(path)))
     if average_groups is None:
         return E
-    return EmbeddingMatrix(_freeze(_mean_rows(E.data, average_groups)), normalized=True)
+    return EmbeddingMatrix(_freeze(_mean_rows(E.data, average_groups)))
 
 
 def load_confidences(path: str | Path) -> ConfidenceVector:
@@ -387,8 +377,7 @@ def load_confidences(path: str | Path) -> ConfidenceVector:
 
 
 def load_labels(path: str | Path) -> LabelVector:
-    ids = _freeze(_array(read_vector(path), np.int64, 1, f"{path}: labels"))
-    return LabelVector(ids, class_count=int(ids.max()) + 1)
+    return LabelVector(_freeze(_array(read_vector(path), np.int64, 1, f"{path}: labels")))
 
 
 def load_noise_flags(path: str | Path) -> NoiseFlagVector:

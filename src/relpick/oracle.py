@@ -3,7 +3,9 @@
 Nothing here reuses the graph/accumulator machinery: the naive objective
 is a literal transcription of the definitions straight from raw
 embeddings, and the optimum is found by exhaustive enumeration. These
-are the ground truth the fast paths are tested against.
+are the ground truth the fast paths are tested against. The scorers
+share only the input gate, ``pruner.check_inputs``: a confidence vector
+of another length than the population is a DataError.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .dataspec import (
     LabelVector,
     NoiseFlagVector,
 )
+from .pruner import check_inputs
 from .simgraph import NeighborGraph
 
 ENUMERATION_LIMIT = 10**6
@@ -74,6 +77,7 @@ def _pair_weight(x: np.ndarray, y: np.ndarray) -> float:
 def dense_objective(W: np.ndarray, C: ConfidenceVector, S, u) -> float:
     """Objective of subset S on the dense weight matrix W. Columns are taken
     in sorted order, so a set scores the same in whatever order it is given."""
+    check_inputs(W.shape[0], C)
     idx = sorted(int(i) for i in S)
     return float(np.sum(u(W[:, idx] @ C.values[idx])))
 
@@ -98,6 +102,7 @@ def brute_force_optimum(
     """Exhaustively evaluate every size-s subset; ties resolve to the
     lexicographically smallest subset. Guarded against blow-up."""
     m = G.m
+    check_inputs(m, C)
     check_enumeration(m, s)
     W = G.dense_weights()
     best_subset: tuple[int, ...] | None = None
@@ -144,7 +149,8 @@ def random_instance(
     norms = np.linalg.norm(rows, axis=1)
     norms[norms == 0.0] = 1.0
     rows /= norms[:, None]
-    # renormalize after the float32 cast so the normalized invariant holds
+    # renormalize after the float32 cast, so that each float32 row has
+    # unit norm within 1e-6
     rows[:] = rows.astype(np.float32)
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     rows = rows.astype(np.float32)
@@ -155,8 +161,8 @@ def random_instance(
         a.setflags(write=False)
 
     return (
-        EmbeddingMatrix(rows, normalized=True),
+        EmbeddingMatrix(rows),
         ConfidenceVector(conf),
-        LabelVector(labels, class_count=c),
+        LabelVector(labels),
         NoiseFlagVector(noisy),
     )

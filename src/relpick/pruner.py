@@ -34,9 +34,11 @@ updated over neighbors in index order, so runs are deterministic.
 
 ``check_inputs`` is the one check that the confidence, label and
 noise-flag vectors hold one entry per example, and that balanced
-selection has labels. ``select``, ``select_streaming``, ``objective``
-and ``evaluate_subset`` call it before any work, and the CLI calls it
-before it builds or loads a graph.
+selection has labels. ``select``, ``select_streaming``, ``objective``,
+``evaluate_subset``, the reference helpers (``SelectionState.add``,
+``surrogate_gain``, ``exact_gain``, ``recompute_cn``) and the oracle's
+scorers call it before any work, and the CLI calls it before it builds
+or loads a graph.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import heapq
 import operator
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -99,9 +101,9 @@ class Utility:
         u.validate_shape(grid_max=float(xs[-1]) * 1.5 + 1.0)
         return u
 
-    def validate_shape(self, grid_max: float = 8.0, grid_points: int = 201) -> None:
-        """Check u(0)=0, monotone non-decreasing, concave on a grid."""
-        grid = np.linspace(0.0, grid_max, grid_points)
+    def validate_shape(self, grid_max: float = 8.0) -> None:
+        """Check u(0)=0, monotone non-decreasing, concave on a 201-point grid."""
+        grid = np.linspace(0.0, grid_max, 201)
         vals = self(grid)
         if not np.isfinite(vals).all():
             raise ConfigError(f"{self.kind} utility produced non-finite values")
@@ -127,23 +129,18 @@ def utility_from_config(cfg: SelectionConfig) -> Utility:
     return u
 
 
-@dataclass
 class SelectionState:
-    """Running accumulator cn[v] = sum over selected x of w(v,x) * C(x)."""
+    """Running accumulator cn[v] = sum over selected x of w(v,x) * C(x),
+    over m examples, with nothing selected yet."""
 
-    m: int
-    budget: int
-    selected: list[int] = field(default_factory=list)
-    selected_mask: np.ndarray = None
-    cn: np.ndarray = None
-
-    def __post_init__(self):
-        if self.selected_mask is None:
-            self.selected_mask = np.zeros(self.m, dtype=bool)
-        if self.cn is None:
-            self.cn = np.zeros(self.m, dtype=np.float64)
+    def __init__(self, m: int):
+        self.m = m
+        self.selected: list[int] = []
+        self.selected_mask = np.zeros(m, dtype=bool)
+        self.cn = np.zeros(m, dtype=np.float64)
 
     def add(self, x: int, G: NeighborGraph, C: ConfidenceVector) -> None:
+        check_inputs(self.m, C)
         x = _check_id(self.m, x)
         if self.selected_mask[x]:
             raise DataError(f"index {x} already selected")
@@ -156,6 +153,7 @@ class SelectionState:
 def recompute_cn(G: NeighborGraph, C: ConfidenceVector, S) -> np.ndarray:
     """From-scratch accumulator for a subset; reference for the
     incremental updates."""
+    check_inputs(G.m, C)
     cn = np.zeros(G.m, dtype=np.float64)
     for x in sorted(int(i) for i in S):
         js, ws = G.neighbors(x)
@@ -210,6 +208,7 @@ def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
 
 def surrogate_gain(state: SelectionState, C: ConfidenceVector, x: int, u: Utility) -> float:
     """Self gain u(cn[x] + C(x)) - u(cn[x]) of adding candidate x."""
+    check_inputs(state.m, C)
     x = _check_id(state.m, x)
     if state.selected_mask[x]:
         raise DataError(f"index {x} already selected")
@@ -220,6 +219,7 @@ def exact_gain(
     G: NeighborGraph, C: ConfidenceVector, state: SelectionState, x: int, u: Utility
 ) -> float:
     """True objective marginal of adding candidate x."""
+    check_inputs(state.m, C)
     x = _check_id(state.m, x)
     if state.selected_mask[x]:
         raise DataError(f"index {x} already selected")
@@ -354,17 +354,17 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels, pick, update) -> S
     wall_times cover each step's pick and update. The objective trace,
     kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over the
     rows it reached."""
-    warnings = []
+    warnings, budget = [], min(cfg.budget, m)
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
-    state = SelectionState(m=m, budget=min(cfg.budget, m))
+    state = SelectionState(m)
     labels = np.zeros(m, np.int8) if labels is None else labels  # all rows: one class
     by_class = np.argsort(labels, kind="stable")  # each class's members in ascending index
     groups = np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1)
     turns = deque((k, ids.size) for k, ids in enumerate(groups))  # (group, rows left)
     picked, trace, wall_times = [], [], []
     total, moved = 0.0, _ALL
-    while len(state.selected) < state.budget:
+    while len(state.selected) < budget:
         t0 = time.perf_counter()
         k, left = turns.popleft()
         x, g = pick(state, moved, k, groups[k])

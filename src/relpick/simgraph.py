@@ -49,6 +49,8 @@ Cache file format: 8-byte magic ``RELGRPH2``, u64 m, f64 tau, u64 nnz,
 then (m+1) i64 row offsets, nnz i32 column ids, nnz f32 weights, all
 little-endian. Any other header, a ``RELGRPH1`` cache's (u64 column
 ids) included, is refused with a request to rebuild the cache.
+``graph_header`` reads the header alone, and ``load_graph`` reads it
+through ``graph_header``.
 """
 
 from __future__ import annotations
@@ -444,12 +446,19 @@ def save_graph(path: str | Path, G: NeighborGraph) -> None:
             np.ascontiguousarray(a, dtype=dtype).tofile(f)  # no copy when a has the dtype
 
 
-def load_graph(path: str | Path) -> NeighborGraph:
+def graph_header(path: str | Path) -> tuple[int, float, int]:
+    """A cache's (m, tau, nnz), read from its 32-byte header alone."""
     with open(path, "rb") as f:
         head = f.read(32)
-        if len(head) < 32 or head[:8] != GRAPH_MAGIC:  # a RELGRPH1 cache included
-            raise FormatError(f"{path}: no RELGRPH2 graph header; rebuild it with `relpick graph`")
-        m, tau, nnz = struct.unpack("<QdQ", head[8:32])
+    if len(head) < 32 or head[:8] != GRAPH_MAGIC:  # a RELGRPH1 cache included
+        raise FormatError(f"{path}: no RELGRPH2 graph header; rebuild it with `relpick graph`")
+    return struct.unpack("<QdQ", head[8:32])
+
+
+def load_graph(path: str | Path) -> NeighborGraph:
+    m, tau, nnz = graph_header(path)
+    with open(path, "rb") as f:
+        f.seek(32)
         need = (m + 1) * 8 + nnz * 4 + nnz * 4
         if os.fstat(f.fileno()).st_size - 32 != need:
             raise FormatError(f"{path}: payload size mismatch (expected {need} bytes)")

@@ -11,7 +11,7 @@ from relpick.simgraph import unit_rows
 @pytest.fixture
 def orthogonal3():
     """Three mutually orthogonal unit rows: the graph is diagonal."""
-    E = EmbeddingMatrix(np.eye(3, dtype=np.float32), normalized=True)
+    E = EmbeddingMatrix(np.eye(3, dtype=np.float32))
     C = ConfidenceVector([0.9, 0.5, 0.1])
     G = build_graph(E, 0.5)
     return E, C, G
@@ -20,7 +20,7 @@ def orthogonal3():
 @pytest.fixture
 def identical2():
     """Two identical rows: cross edges with weight 1."""
-    E = EmbeddingMatrix(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32), normalized=True)
+    E = EmbeddingMatrix(np.array([[1.0, 0.0], [1.0, 0.0]], dtype=np.float32))
     C = ConfidenceVector([0.5, 0.5])
     G = build_graph(E, 0.9)
     return E, C, G

@@ -75,10 +75,10 @@ def test_criterion_2_monotonicity_and_submodularity():
         if sub < 1000:
             outside = [x for x in range(G.m) if x not in big]
             x = int(rng.choice(outside))
-            st_small = SelectionState(m=G.m, budget=G.m)
+            st_small = SelectionState(m=G.m)
             for i in small:
                 st_small.add(i, G, C)
-            st_big = SelectionState(m=G.m, budget=G.m)
+            st_big = SelectionState(m=G.m)
             for i in big:
                 st_big.add(i, G, C)
             assert exact_gain(G, C, st_small, x, u) >= exact_gain(G, C, st_big, x, u) - 1e-9
@@ -131,7 +131,7 @@ def test_criterion_4_surrogate_fidelity():
                                      cluster_spread=0.3, noise_fraction=0.2)
         G = build_graph(E, 0.6)
         # incremental accumulator vs from-scratch at every step
-        st = SelectionState(m=m, budget=m)
+        st = SelectionState(m=m)
         r = select(G, C, None, SelectionConfig(budget=max(2, m // 3), rule="surrogate"))
         for k, x in enumerate(r.order):
             st.add(x, G, C)
@@ -162,7 +162,7 @@ def test_criterion_5_balanced_selection():
     m = 30
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((m, 6)).astype(np.float32)
-    labels = LabelVector(np.array([0] * 3 + [1] * 27), class_count=2)
+    labels = LabelVector(np.array([0] * 3 + [1] * 27))
     E = EmbeddingMatrix(rows)
     G = build_graph(E, 0.9)
     C = ConfidenceVector(rng.uniform(0.1, 0.9, m))

@@ -32,6 +32,10 @@ def fixture_files(tmp_path):
     return tmp_path, str(emb), str(conf)
 
 
+def no_payload(*args):
+    raise AssertionError("the graph cache payload was read")
+
+
 def masked(payload: str) -> str:
     data = json.loads(payload)
     data["wall_times"] = None
@@ -148,18 +152,31 @@ class TestSelectCommand:
         assert main(argv) == code
         assert capsys.readouterr().err.startswith("relpick: error: ")
 
-    def test_graph_cache_of_another_size_exits_3(self, fixture_files, capsys):
+    def test_graph_cache_of_another_size_exits_3(self, fixture_files, monkeypatch, capsys):
         tmp, emb, conf = fixture_files
         other = tmp / "e4.bin"
         write_matrix_binary(other, np.eye(4, dtype=np.float32))
         assert main(["graph", "--embeddings", str(other), "--tau", "0.5",
                      "--out", str(tmp / "g4.bin")]) == 0
         capsys.readouterr()
+        monkeypatch.setattr(simgraph, "load_graph", no_payload)  # refused from the header
         rc = main(["select", "--embeddings", emb, "--confidences", conf, "--budget", "1",
                    "--graph", str(tmp / "g4.bin")])
         assert rc == 3
         assert capsys.readouterr().err == (
             "relpick: error: graph size 4 does not match 3 embeddings\n")
+
+    def test_graph_cache_of_another_tau_exits_2(self, fixture_files, monkeypatch, capsys):
+        tmp, emb, conf = fixture_files
+        assert main(["graph", "--embeddings", emb, "--tau", "0.5",
+                     "--out", str(tmp / "g.bin")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(simgraph, "load_graph", no_payload)  # refused from the header
+        rc = main(["select", "--embeddings", emb, "--confidences", conf, "--budget", "1",
+                   "--graph", str(tmp / "g.bin"), "--tau", "0.25"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "relpick: error: --tau 0.25 differs from the graph cache's tau 0.5\n")
 
     @pytest.mark.parametrize("flag", ["--confidences", "--labels"])
     def test_length_mismatch_message(self, fixture_files, capsys, flag):
@@ -365,6 +382,24 @@ class TestOracleCommand:
         assert rc == 3
         assert capsys.readouterr().err == (
             "relpick: error: confidence length 2 does not match 3 examples\n")
+
+    def test_result_of_another_size_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a 6-pick result scored against the best 3-subset read a ratio of 1.19
+        E, C, _, _ = oracle.random_instance(1, m=12, d=4, c=3, cluster_spread=0.3,
+                                            noise_fraction=0.2)
+        emb, conf, res = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "r.json"
+        write_matrix_binary(emb, E.data)
+        write_vector_text(conf, C.values)
+        assert main(["select", "--embeddings", str(emb), "--confidences", str(conf),
+                     "--budget", "6", "--tau", "0.5", "--out", str(res)]) == 0
+
+        def no_build(*_):
+            raise AssertionError("graph built before the result size was checked")
+        monkeypatch.setattr(simgraph, "build_graph", no_build)
+        assert main(["oracle", "--embeddings", str(emb), "--confidences", str(conf),
+                     "--budget", "3", "--tau", "0.5", "--result", str(res)]) == 3
+        assert capsys.readouterr().err == (
+            f"relpick: error: {res}: result holds 6 picks, not --budget 3\n")
 
     def test_oversize_instance_exits_4(self, tmp_path):
         emb = tmp_path / "e.bin"

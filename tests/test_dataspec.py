@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,7 +47,7 @@ class TestIngest:
         assert E.m == 1
         r = math.sqrt(2) / 2
         np.testing.assert_allclose(E.data[0], [r, r], rtol=1e-6)
-        assert E.normalized
+        assert np.all(np.abs(np.linalg.norm(E.data.astype(np.float64), axis=1) - 1.0) <= 1e-6)
 
     def test_average_groups_identity_when_k1(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -87,6 +88,17 @@ class TestBinaryRoundTrip:
         assert back.dtype == np.float32
         assert np.array_equal(back.view(np.uint32), data.view(np.uint32))
 
+    def test_writer_makes_no_payload_copy(self, tmp_path):
+        data = np.random.default_rng(9).standard_normal((2000, 64)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            write_matrix_binary(tmp_path / "m.bin", data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes  # the 512 KB payload
+        assert read_matrix(tmp_path / "m.bin").tobytes() == data.tobytes()
+
     def test_confidence_bit_exact(self, tmp_path):
         rng = np.random.default_rng(8)
         v = rng.uniform(0, 1, 17).astype(np.float32)
@@ -115,6 +127,15 @@ class TestReaders:
         p.write_bytes(b" 0.25\r\n\r\nx\r\n")
         with pytest.raises(FormatError, match=r"c\.txt:3: could not convert"):
             read_vector(p)
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        bom = "\ufeff".encode()
+        for name, text, read in (("c.txt", b"0.5\n0.25\n", read_vector),
+                                 ("e.csv", b"1,0.5\n0,2\n", read_matrix)):
+            plain, marked = tmp_path / name, tmp_path / f"bom_{name}"
+            plain.write_bytes(text)
+            marked.write_bytes(bom + text)
+            assert read(marked).tobytes() == read(plain).tobytes()
 
     @pytest.mark.parametrize("binary", [False, True])
     def test_noise_flags_load_as_bools(self, tmp_path, binary):
@@ -193,22 +214,18 @@ class TestValidation:
         with pytest.raises(DataError):
             EmbeddingMatrix(np.array([[np.inf, 0.0]]))
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(DataError):
-            EmbeddingMatrix(np.array([[2.0, 0.0]]), normalized=True)
-
     def test_label_range(self):
-        with pytest.raises(DataError):
-            LabelVector(np.array([0, 3]), class_count=3)
+        with pytest.raises(DataError, match="label ids must be non-negative, got -1"):
+            LabelVector(np.array([0, -1]))
 
     def test_labels_refuse_lossy_casts(self):
         # a cast that changes a value (0.5 -> 0, 1e20 or nan -> -2^63) is
         # refused; whole floats load
-        labels = LabelVector(np.array([1.0, 0.0]), 2)
+        labels = LabelVector(np.array([1.0, 0.0]))
         assert labels.values.dtype == np.int64 and labels.values.tolist() == [1, 0]
         for bad in ([0.5, 1.7], [1e20], [np.nan], [np.inf]):
             with pytest.raises(DataError, match="label vector must be integers"):
-                LabelVector(np.array(bad), 2)
+                LabelVector(np.array(bad))
 
     def test_noise_flags_refuse_lossy_casts(self):
         # a cast that changes a value (0.5 or 2.0 -> True) is refused;
@@ -254,7 +271,7 @@ class TestValidation:
         # an input that needs no conversion is copied, not frozen in place
         mine, make = {
             "embeddings": (np.ones((2, 3), dtype=np.float32), lambda a: EmbeddingMatrix(a).data),
-            "labels": (np.array([1, 0], dtype=np.int64), lambda a: LabelVector(a, 2).values),
+            "labels": (np.array([1, 0], dtype=np.int64), lambda a: LabelVector(a).values),
             "flags": (np.array([True, False]), lambda a: NoiseFlagVector(a).values),
         }[kind]
         given = mine[:] if view else mine

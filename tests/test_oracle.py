@@ -23,7 +23,7 @@ class TestNaiveObjective:
         assert naive_objective(E, C, 0.5, [], math.tanh) == 0.0
 
     def test_single_example(self):
-        E = EmbeddingMatrix(np.array([[1.0]]), normalized=True)
+        E = EmbeddingMatrix(np.array([[1.0]]))
         C = ConfidenceVector([1.0])
         assert naive_objective(E, C, 0.5, [0], math.tanh) == pytest.approx(math.tanh(1.0))
 
@@ -64,7 +64,7 @@ class TestBruteForce:
         assert obj == pytest.approx(objective(G, C, [0, 1, 2], Utility.tanh()), abs=1e-12)
 
     def test_tie_breaks_lexicographic(self):
-        E = EmbeddingMatrix(np.eye(3, dtype=np.float32), normalized=True)
+        E = EmbeddingMatrix(np.eye(3, dtype=np.float32))
         C = ConfidenceVector([0.5, 0.5, 0.5])
         G = build_graph(E, 0.5)
         best, _ = brute_force_optimum(G, C, 1, Utility.tanh())
@@ -110,7 +110,7 @@ class TestRandomInstance:
 
     def test_rows_unit_normalized(self):
         E, _, _, _ = random_instance(10, m=25, d=4, c=2, cluster_spread=0.3)
-        assert E.normalized
+        assert np.all(np.abs(np.linalg.norm(E.data.astype(np.float64), axis=1) - 1.0) <= 1e-6)
 
     def test_noisy_confidences_depressed(self):
         _, C, _, flags = random_instance(11, m=100, d=8, c=4, noise_fraction=0.2)

@@ -28,7 +28,7 @@ from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
 
 def make_state(G, C, S=()):
-    st = SelectionState(m=G.m, budget=G.m)
+    st = SelectionState(m=G.m)
     for x in S:
         st.add(x, G, C)
     return st
@@ -53,7 +53,7 @@ def reference_greedy(G, C, labels, budget, rule, u):
         groups = [list(range(G.m))]
     else:
         groups = [[x for x in range(G.m) if labels.values[x] == j]
-                  for j in range(labels.class_count)]
+                  for j in range(int(labels.values.max()) + 1)]
     order = []
     turn = 0
     while len(order) < budget:
@@ -117,7 +117,7 @@ class TestObjective:
         assert objective(G, C, [], Utility.tanh()) == 0.0
 
     def test_single_example_tanh(self):
-        E = EmbeddingMatrix(np.array([[1.0]]), normalized=True)
+        E = EmbeddingMatrix(np.array([[1.0]]))
         G = build_graph(E, 0.5)
         C = ConfidenceVector([1.0])
         assert objective(G, C, [0], Utility.tanh()) == pytest.approx(math.tanh(1.0), abs=1e-12)
@@ -157,10 +157,28 @@ class TestCheckInputs:
         with pytest.raises(DataError, match=f"^confidence length {n} does not match 3 examples$"):
             score(E, G, C)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("score", [
+        lambda G, C, u: SelectionState(3).add(0, G, C),
+        lambda G, C, u: surrogate_gain(SelectionState(3), C, 0, u),
+        lambda G, C, u: exact_gain(G, C, SelectionState(3), 0, u),
+        lambda G, C, u: recompute_cn(G, C, [0]),
+        lambda G, C, u: oracle.dense_objective(G.dense_weights(), C, [0], u),
+        # a subset size of 4 fails the enumeration guard, so the length is checked first
+        lambda G, C, u: oracle.brute_force_optimum(G, C, 4, u),
+    ], ids=["add", "surrogate_gain", "exact_gain", "recompute_cn", "dense_objective",
+            "brute_force_optimum"])
+    def test_reference_helpers_refuse_confidences_of_another_length(self, orthogonal3,
+                                                                     score, n):
+        _, _, G = orthogonal3
+        C = ConfidenceVector(np.full(n, 0.5))
+        with pytest.raises(DataError, match=f"^confidence length {n} does not match 3 examples$"):
+            score(G, C, Utility.tanh())
+
     def test_labels_and_noise_flags_of_another_length_refused(self, orthogonal3):
         _, C, G = orthogonal3
         with pytest.raises(DataError, match="^label length 2 does not match 3 examples$"):
-            select(G, C, LabelVector([0, 1], 2), SelectionConfig(budget=1, balanced=True))
+            select(G, C, LabelVector([0, 1]), SelectionConfig(budget=1, balanced=True))
         with pytest.raises(DataError, match="^noise-flag length 4 does not match 3 examples$"):
             evaluate_subset(G, C, [0], Utility.tanh(), NoiseFlagVector(np.zeros(4, bool)))
 
@@ -476,18 +494,18 @@ class TestSelect:
             assert counts.max() - counts.min() <= 1
 
     def test_balanced_exhausted_class_still_meets_budget(self):
-        E = EmbeddingMatrix(np.eye(6, dtype=np.float32), normalized=True)
+        E = EmbeddingMatrix(np.eye(6, dtype=np.float32))
         C = ConfidenceVector(np.linspace(0.9, 0.4, 6))
-        labels = LabelVector(np.array([0, 1, 1, 1, 1, 1]), class_count=2)
+        labels = LabelVector(np.array([0, 1, 1, 1, 1, 1]))
         G = build_graph(E, 0.5)
         r = select(G, C, labels, SelectionConfig(budget=4, tau=0.5, balanced=True))
         assert len(r.order) == 4
 
     @pytest.mark.parametrize("rule", ["surrogate", "exact"])
     def test_balanced_skips_empty_class(self, rule):
-        E = EmbeddingMatrix(np.eye(4, dtype=np.float32), normalized=True)
+        E = EmbeddingMatrix(np.eye(4, dtype=np.float32))
         C = ConfidenceVector([0.9, 0.8, 0.7, 0.6])
-        labels = LabelVector(np.array([0, 0, 2, 2]), class_count=3)  # class 1 is empty
+        labels = LabelVector(np.array([0, 0, 2, 2]))  # class 1 is empty
         G = build_graph(E, 0.5)
         cfg = SelectionConfig(budget=4, tau=0.5, rule=rule, balanced=True)
         assert select(G, C, labels, cfg).order == [0, 2, 1, 3]
@@ -495,9 +513,9 @@ class TestSelect:
     @pytest.mark.parametrize("rule", ["surrogate", "exact"])
     def test_balanced_takes_classes_in_id_order_and_drops_spent_ones(self, rule):
         # classes 0, 1 and 2 hold 1, 2 and 4 rows
-        E = EmbeddingMatrix(np.eye(7, dtype=np.float32), normalized=True)
+        E = EmbeddingMatrix(np.eye(7, dtype=np.float32))
         C = ConfidenceVector(np.linspace(0.9, 0.3, 7))
-        labels = LabelVector(np.array([2, 1, 2, 0, 2, 1, 2]), class_count=3)
+        labels = LabelVector(np.array([2, 1, 2, 0, 2, 1, 2]))
         G = build_graph(E, 0.5)
         cfg = SelectionConfig(budget=7, tau=0.5, rule=rule, balanced=True)
         order = select(G, C, labels, cfg).order
@@ -526,9 +544,9 @@ class TestSelect:
             assert r.order == select(G, C, None, SelectionConfig(budget=5, tau=0.6)).order
 
     def test_balanced_groups_only_present_classes(self):
-        E = EmbeddingMatrix(np.eye(3, dtype=np.float32), normalized=True)
+        E = EmbeddingMatrix(np.eye(3, dtype=np.float32))
         C = ConfidenceVector([0.9, 0.8, 0.7])
-        labels = LabelVector(np.array([0, 1, 10**6]), class_count=10**6 + 1)
+        labels = LabelVector(np.array([0, 1, 10**6]))
         G = build_graph(E, 0.5)
         t0 = time.perf_counter()
         r = select(G, C, labels, SelectionConfig(budget=3, tau=0.5, balanced=True))
@@ -544,7 +562,7 @@ class TestSelect:
     def test_accumulator_matches_scratch_recompute(self):
         E, C, _, _ = oracle.random_instance(6, m=50, d=6, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
-        st = SelectionState(m=50, budget=50)
+        st = SelectionState(m=50)
         rng = np.random.default_rng(6)
         for x in rng.permutation(50)[:20]:
             st.add(int(x), G, C)
