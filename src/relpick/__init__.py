@@ -13,15 +13,7 @@ from .dataspec import (
     ingest_embeddings,
 )
 from .errors import ConfigError, DataError, FormatError, RelpickError, SizeGuardError
-from .pruner import (
-    SelectionState,
-    Utility,
-    evaluate_subset,
-    exact_gain,
-    objective,
-    select,
-    surrogate_gain,
-)
+from .pruner import Utility, evaluate_subset, objective, select
 from .simgraph import NeighborGraph, build_graph, degree_stats
 
 __version__ = "0.1.0"
@@ -39,16 +31,13 @@ __all__ = [
     "RelpickError",
     "SelectionConfig",
     "SelectionResult",
-    "SelectionState",
     "SizeGuardError",
     "Utility",
     "build_graph",
     "confidence_from_probs",
     "degree_stats",
     "evaluate_subset",
-    "exact_gain",
     "ingest_embeddings",
     "objective",
     "select",
-    "surrogate_gain",
 ]

@@ -78,8 +78,12 @@ def dense_objective(W: np.ndarray, C: ConfidenceVector, S, u) -> float:
     """Objective of subset S on the dense weight matrix W. Columns are taken
     in sorted order, so a set scores the same in whatever order it is given."""
     check_inputs(W.shape[0], C)
-    idx = sorted(int(i) for i in S)
-    return float(np.sum(u(W[:, idx] @ C.values[idx])))
+    return _dense_score(W, C.values, sorted(int(i) for i in S), u)
+
+
+def _dense_score(W: np.ndarray, conf: np.ndarray, idx: list[int], u) -> float:
+    """``dense_objective`` of the ascending ids ``idx``, its inputs unchecked."""
+    return float(np.sum(u(W[:, idx] @ conf[idx])))
 
 
 def check_enumeration(m: int, s: int) -> None:
@@ -100,15 +104,15 @@ def brute_force_optimum(
     G: NeighborGraph, C: ConfidenceVector, s: int, u
 ) -> tuple[tuple[int, ...], float]:
     """Exhaustively evaluate every size-s subset; ties resolve to the
-    lexicographically smallest subset. Guarded against blow-up."""
-    m = G.m
-    check_inputs(m, C)
-    check_enumeration(m, s)
+    lexicographically smallest subset. Guarded against blow-up. The
+    inputs are checked once, before the enumeration."""
+    check_inputs(G.m, C)
+    check_enumeration(G.m, s)
     W = G.dense_weights()
     best_subset: tuple[int, ...] | None = None
     best_obj = -np.inf
-    for combo in combinations(range(m), s):  # lexicographic order
-        obj = dense_objective(W, C, combo, u)
+    for combo in combinations(range(G.m), s):  # lexicographic order
+        obj = _dense_score(W, C.values, list(combo), u)
         if obj > best_obj + 1e-12:
             best_subset, best_obj = combo, obj
     return best_subset, best_obj

@@ -35,15 +35,15 @@ updated over neighbors in index order, so runs are deterministic.
 ``check_inputs`` is the one check that the confidence, label and
 noise-flag vectors hold one entry per example, and that balanced
 selection has labels. ``select``, ``select_streaming``, ``objective``,
-``evaluate_subset``, the reference helpers (``SelectionState.add``,
-``surrogate_gain``, ``exact_gain``, ``recompute_cn``) and the oracle's
-scorers call it before any work, and the CLI calls it before it builds
-or loads a graph.
+``evaluate_subset``, the reference accumulator ``recompute_cn`` and the
+oracle's scorers call it before any work, and the CLI calls it before it
+builds or loads a graph.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import time
 from collections import deque
@@ -63,7 +63,6 @@ from .dataspec import (
 from .simgraph import NeighborGraph, edge_floor, edge_weights, unit_rows
 
 _ALL = slice(None)
-_FIRST = np.zeros(1, dtype=np.intp)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
 _FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
 
@@ -129,27 +128,6 @@ def utility_from_config(cfg: SelectionConfig) -> Utility:
     return u
 
 
-class SelectionState:
-    """Running accumulator cn[v] = sum over selected x of w(v,x) * C(x),
-    over m examples, with nothing selected yet."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.selected: list[int] = []
-        self.selected_mask = np.zeros(m, dtype=bool)
-        self.cn = np.zeros(m, dtype=np.float64)
-
-    def add(self, x: int, G: NeighborGraph, C: ConfidenceVector) -> None:
-        check_inputs(self.m, C)
-        x = _check_id(self.m, x)
-        if self.selected_mask[x]:
-            raise DataError(f"index {x} already selected")
-        self.selected.append(x)
-        self.selected_mask[x] = True
-        js, ws = G.neighbors(x)
-        self.cn[js] += ws.astype(np.float64) * C.values[x]
-
-
 def recompute_cn(G: NeighborGraph, C: ConfidenceVector, S) -> np.ndarray:
     """From-scratch accumulator for a subset; reference for the
     incremental updates."""
@@ -206,29 +184,6 @@ def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
     return float(u(recompute_cn(G, C, idx)).sum())
 
 
-def surrogate_gain(state: SelectionState, C: ConfidenceVector, x: int, u: Utility) -> float:
-    """Self gain u(cn[x] + C(x)) - u(cn[x]) of adding candidate x."""
-    check_inputs(state.m, C)
-    x = _check_id(state.m, x)
-    if state.selected_mask[x]:
-        raise DataError(f"index {x} already selected")
-    return float(u(state.cn[x] + C.values[x]) - u(state.cn[x]))
-
-
-def exact_gain(
-    G: NeighborGraph, C: ConfidenceVector, state: SelectionState, x: int, u: Utility
-) -> float:
-    """True objective marginal of adding candidate x."""
-    check_inputs(state.m, C)
-    x = _check_id(state.m, x)
-    if state.selected_mask[x]:
-        raise DataError(f"index {x} already selected")
-    js, ws = G.neighbors(x)
-    if js.size == 0:  # no stored edges, not even the self-loop
-        return 0.0
-    return float(_marginals(state.cn, js, ws.astype(np.float64) * C.values[x], _FIRST, u)[0])
-
-
 def _marginals(cn: np.ndarray, js: np.ndarray, inc: np.ndarray, starts: np.ndarray,
                u: Utility) -> np.ndarray:
     """Segment sums of u(cn[j] + inc) - u(cn[j]) over the stored edges of
@@ -271,18 +226,20 @@ def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
 def _best_of(gains_at, m: int):
     """Pick policy over one gains array of the m rows, kept across steps:
     ``gains_at`` fills it at the first step and refreshes it where the
-    last update moved cn, -inf once selected. It picks the candidate of
-    highest gain among ``ids``, the rows of the group k whose turn it is;
-    one array serves every group, so k goes unused."""
-    gains = np.empty(m)
+    last update moved cn, -inf once taken (``taken`` marks the picks).
+    It picks the candidate of highest gain among ``ids``, the rows of the
+    group k whose turn it is; one array serves every group, so k goes
+    unused."""
+    gains, taken = np.empty(m), np.zeros(m, dtype=bool)
 
-    def pick(state: SelectionState, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
-        fresh = gains_at(state.cn, moved)
-        fresh[state.selected_mask[moved]] = -np.inf
+    def pick(cn: np.ndarray, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
+        fresh = gains_at(cn, moved)
+        fresh[taken[moved]] = -np.inf
         gains[moved] = fresh
         rows = _ALL if ids.size == m else ids  # a group of all rows reads gains whole
         x = int(ids[gains[rows].argmax()])  # first max: lowest index
         g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
+        taken[x] = True
         return x, g
     return pick
 
@@ -296,13 +253,13 @@ def _celf(gains_at):
     pops up to ``_CELF_BATCH`` consecutive stale tops and recomputes them
     in one ``gains_at`` call, so the rows the last update moved go
     unused. The (-gain, index) keys keep ties on the lowest index."""
-    heaps, first = {}, None
+    heaps, first, steps = {}, None, itertools.count()
 
-    def pick(state: SelectionState, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
+    def pick(cn: np.ndarray, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
         nonlocal first
-        step = len(state.selected)
+        step = next(steps)  # picks made before this one
         if step == 0:
-            first = gains_at(state.cn, _ALL)
+            first = gains_at(cn, _ALL)
         if k not in heaps:
             heaps[k] = [(-g, x, 0) for g, x in zip(first[ids].tolist(), ids.tolist())]
             heapq.heapify(heaps[k])
@@ -311,7 +268,7 @@ def _celf(gains_at):
             stale = []
             while heap and heap[0][2] != step and len(stale) < _CELF_BATCH:
                 stale.append(heapq.heappop(heap)[1])
-            for x, g in zip(stale, gains_at(state.cn, np.array(stale)).tolist()):
+            for x, g in zip(stale, gains_at(cn, np.array(stale)).tolist()):
                 heapq.heappush(heap, (-g, x, step))
         neg_g, x, _ = heapq.heappop(heap)
         return x, -neg_g
@@ -349,37 +306,36 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels, pick, update) -> S
     ascending index. The groups take turns, and a group drops out once
     all its rows are picked. Each step asks the pick policy for a
     candidate of the group k whose turn it is, and its gain, passing the
-    rows the last update moved (all rows at the first step), then adds
-    the pick to the accumulator.
+    accumulator cn and the rows the last update moved (all rows at the
+    first step), then adds the pick to cn.
     wall_times cover each step's pick and update. The objective trace,
     kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over the
     rows it reached."""
     warnings, budget = [], min(cfg.budget, m)
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
-    state = SelectionState(m)
+    cn, order = np.zeros(m), []
     labels = np.zeros(m, np.int8) if labels is None else labels  # all rows: one class
     by_class = np.argsort(labels, kind="stable")  # each class's members in ascending index
     groups = np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1)
     turns = deque((k, ids.size) for k, ids in enumerate(groups))  # (group, rows left)
     picked, trace, wall_times = [], [], []
     total, moved = 0.0, _ALL
-    while len(state.selected) < budget:
+    while len(order) < budget:
         t0 = time.perf_counter()
         k, left = turns.popleft()
-        x, g = pick(state, moved, k, groups[k])
+        x, g = pick(cn, moved, k, groups[k])
         if left > 1:
             turns.append((k, left - 1))
-        moved, inc = update(state.cn, x)
-        state.selected_mask[x] = True
-        state.selected.append(x)
+        moved, inc = update(cn, x)
+        order.append(x)
         wall_times.append(time.perf_counter() - t0)
         hit = inc > 0.0  # the scan's inc is dense, zero off the pick's edges
-        after, inc = state.cn[moved][hit], inc[hit]
+        after, inc = cn[moved][hit], inc[hit]
         total += float((u(after) - u(after - inc)).sum())
         picked.append(g)
         trace.append(total)
-    return SelectionResult(order=list(state.selected), gains=picked, objective_trace=trace,
+    return SelectionResult(order=order, gains=picked, objective_trace=trace,
                            wall_times=wall_times, config=cfg, warnings=warnings)
 
 

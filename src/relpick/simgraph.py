@@ -103,14 +103,10 @@ class NeighborGraph:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def row_ids(self) -> np.ndarray:
-        """The row of each stored edge, aligned with ``indices`` (int32)."""
-        return np.repeat(np.arange(self.m, dtype=np.int32), np.diff(self.indptr))
-
     def dense_weights(self) -> np.ndarray:
         """Materialize the m x m weight matrix (small instances only)."""
         W = np.zeros((self.m, self.m), dtype=np.float64)
-        W[self.row_ids(), self.indices] = self.weights
+        W[np.repeat(np.arange(self.m), np.diff(self.indptr)), self.indices] = self.weights
         return W
 
     def validate(self) -> None:

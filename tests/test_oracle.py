@@ -12,6 +12,7 @@ from relpick import (
     build_graph,
     objective,
 )
+from relpick import oracle
 from relpick.oracle import brute_force_optimum, naive_objective, random_instance
 
 from conftest import band_pair
@@ -85,6 +86,15 @@ class TestBruteForce:
         G = build_graph(E, 0.5)
         with pytest.raises(SizeGuardError):
             brute_force_optimum(G, C, 15, Utility.tanh())
+
+    def test_checks_its_inputs_once(self, monkeypatch):
+        calls, check = [], oracle.check_inputs
+        monkeypatch.setattr(oracle, "check_inputs", lambda *a: calls.append(a) or check(*a))
+        E, C, _, _ = random_instance(0, m=8, d=4, c=2, cluster_spread=0.4)
+        G, u = build_graph(E, 0.5), Utility.tanh()
+        best, obj = brute_force_optimum(G, C, 3, u)  # C(8, 3) = 56 subsets
+        assert len(calls) == 1
+        assert obj == oracle.dense_objective(G.dense_weights(), C, best, u)
 
 
 class TestRandomInstance:

@@ -11,14 +11,11 @@ from relpick import (
     DataError,
     EmbeddingMatrix,
     SelectionConfig,
-    SelectionState,
     Utility,
     build_graph,
     evaluate_subset,
-    exact_gain,
     objective,
     select,
-    surrogate_gain,
 )
 from relpick import NoiseFlagVector, LabelVector, NeighborGraph
 from relpick.pruner import recompute_cn, select_streaming
@@ -27,21 +24,28 @@ from relpick import oracle, pruner
 from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
 
-def make_state(G, C, S=()):
-    st = SelectionState(m=G.m)
-    for x in S:
-        st.add(x, G, C)
-    return st
+def one_row_gain(G, C, cn, x, rule, u):
+    """Candidate x's gain on the accumulator cn, from its definition: the
+    self gain u(cn[x] + C[x]) - u(cn[x]) under the surrogate rule, else
+    the exact marginal, the sum of u(cn[j] + w(x, j) C[x]) - u(cn[j])
+    over row x's stored edges (0 for a row that stores none). The sum is
+    one ``reduceat`` segment, which adds in the order the engine's
+    segment sums do; ``np.sum`` may differ from it in the last bit."""
+    if rule == "surrogate":
+        return float(u(cn[x] + C.values[x]) - u(cn[x]))
+    js, ws = G.neighbors(x)
+    v = u(cn[js] + ws.astype(np.float64) * C.values[x]) - u(cn[js])
+    return float(np.add.reduceat(v, [0])[0]) if v.size else 0.0
 
 
 def replayed_gains(G, C, order, rule, u):
-    """Each pick's gain, surrogate_gain or exact_gain, on the state that
-    SelectionState.add rebuilds from the picks before it."""
-    st, gains = make_state(G, C), []
+    """Each pick's ``one_row_gain`` on the accumulator of the picks before
+    it, each pick added to cn in pick order through ``G.neighbors``."""
+    cn, gains = np.zeros(G.m), []
     for x in order:
-        gains.append(surrogate_gain(st, C, x, u) if rule == "surrogate"
-                     else exact_gain(G, C, st, x, u))
-        st.add(x, G, C)
+        gains.append(one_row_gain(G, C, cn, x, rule, u))
+        js, ws = G.neighbors(x)
+        cn[js] += ws.astype(np.float64) * C.values[x]
     return gains
 
 
@@ -62,14 +66,8 @@ def reference_greedy(G, C, labels, budget, rule, u):
         if not cand:
             continue
         cn = recompute_cn(G, C, order)
-
-        def gain(x):
-            if rule == "surrogate":
-                return float(u(cn[x] + C.values[x]) - u(cn[x]))
-            js, ws = G.neighbors(x)
-            return float(np.sum(u(cn[js] + ws.astype(np.float64) * C.values[x]) - u(cn[js])))
-
-        order.append(max(cand, key=gain))  # first maximum: lowest index
+        # first maximum: lowest index
+        order.append(max(cand, key=lambda x: one_row_gain(G, C, cn, x, rule, u)))
     return order
 
 
@@ -108,7 +106,8 @@ class TestUtility:
         u = Utility("half", lambda z: 0.5 * z)
         u.validate_shape()
         assert objective(G, C, [0], u) == pytest.approx(0.5, abs=1e-12)
-        assert exact_gain(G, C, make_state(G, C), 0, u) == pytest.approx(0.5, abs=1e-12)
+        gains = pruner._exact_gains(G, C.values, u)(np.zeros(G.m), np.array([0]))
+        assert gains[0] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestObjective:
@@ -159,15 +158,11 @@ class TestCheckInputs:
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("score", [
-        lambda G, C, u: SelectionState(3).add(0, G, C),
-        lambda G, C, u: surrogate_gain(SelectionState(3), C, 0, u),
-        lambda G, C, u: exact_gain(G, C, SelectionState(3), 0, u),
         lambda G, C, u: recompute_cn(G, C, [0]),
         lambda G, C, u: oracle.dense_objective(G.dense_weights(), C, [0], u),
         # a subset size of 4 fails the enumeration guard, so the length is checked first
         lambda G, C, u: oracle.brute_force_optimum(G, C, 4, u),
-    ], ids=["add", "surrogate_gain", "exact_gain", "recompute_cn", "dense_objective",
-            "brute_force_optimum"])
+    ], ids=["recompute_cn", "dense_objective", "brute_force_optimum"])
     def test_reference_helpers_refuse_confidences_of_another_length(self, orthogonal3,
                                                                      score, n):
         _, _, G = orthogonal3
@@ -184,48 +179,46 @@ class TestCheckInputs:
 
 
 class TestGains:
+    """The reference gain ``one_row_gain``, which the engine's gains are
+    checked against, on values worked by hand and on objective marginals."""
+
     def test_surrogate_fresh_state(self, orthogonal3):
         _, _, G = orthogonal3
         C = ConfidenceVector([0.8, 0.5, 0.1])
-        st = make_state(G, C)
-        assert surrogate_gain(st, C, 0, Utility.tanh()) == pytest.approx(math.tanh(0.8), abs=1e-12)
+        gain = one_row_gain(G, C, np.zeros(3), 0, "surrogate", Utility.tanh())
+        assert gain == pytest.approx(math.tanh(0.8), abs=1e-12)
 
     def test_surrogate_zero_confidence(self, orthogonal3):
         _, _, G = orthogonal3
         C = ConfidenceVector([0.0, 0.5, 0.1])
-        st = make_state(G, C, S=[1])
-        assert surrogate_gain(st, C, 0, Utility.tanh()) == 0.0
+        cn = recompute_cn(G, C, [1])
+        assert one_row_gain(G, C, cn, 0, "surrogate", Utility.tanh()) == 0.0
 
     def test_surrogate_identity_midway(self, identical2):
         _, C, G = identical2
-        st = make_state(G, C, S=[1])  # cn[0] = 0.5 via the cross edge
-        assert st.cn[0] == pytest.approx(0.5)
-        assert surrogate_gain(st, C, 0, Utility.identity()) == pytest.approx(0.5, abs=1e-12)
-
-    def test_surrogate_rejects_selected(self, identical2):
-        _, C, G = identical2
-        st = make_state(G, C, S=[0])
-        with pytest.raises(DataError):
-            surrogate_gain(st, C, 0, Utility.tanh())
+        cn = recompute_cn(G, C, [1])  # cn[0] = 0.5 via the cross edge
+        assert cn[0] == pytest.approx(0.5)
+        gain = one_row_gain(G, C, cn, 0, "surrogate", Utility.identity())
+        assert gain == pytest.approx(0.5, abs=1e-12)
 
     def test_exact_equals_surrogate_when_isolated(self, orthogonal3):
         _, _, G = orthogonal3
         C = ConfidenceVector([0.8, 0.5, 0.1])
-        st = make_state(G, C)
-        e = exact_gain(G, C, st, 0, Utility.tanh())
+        cn, u = np.zeros(3), Utility.tanh()
+        e = one_row_gain(G, C, cn, 0, "exact", u)
         assert e == pytest.approx(math.tanh(0.8), abs=1e-12)
-        assert e == pytest.approx(surrogate_gain(st, C, 0, Utility.tanh()), abs=1e-12)
+        assert e == pytest.approx(one_row_gain(G, C, cn, 0, "surrogate", u), abs=1e-12)
 
     def test_exact_two_identical_rows(self, identical2):
         _, C, G = identical2
-        st = make_state(G, C)
-        assert exact_gain(G, C, st, 0, Utility.identity()) == pytest.approx(1.0, abs=1e-12)
+        gain = one_row_gain(G, C, np.zeros(2), 0, "exact", Utility.identity())
+        assert gain == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_gain_of_row_without_edges_is_zero(self):
         G = NeighborGraph(m=2, tau=0.5, indptr=np.array([0, 0, 1]),
                           indices=np.array([1]), weights=np.array([1.0], dtype=np.float32))
         C = ConfidenceVector([0.9, 0.4])
-        assert exact_gain(G, C, make_state(G, C), 0, Utility.tanh()) == 0.0
+        assert one_row_gain(G, C, np.zeros(2), 0, "exact", Utility.tanh()) == 0.0
 
     def test_exact_gain_matches_objective_marginal(self):
         rng = np.random.default_rng(21)
@@ -234,38 +227,13 @@ class TestGains:
             G = build_graph(E, 0.5)
             u = Utility.tanh()
             S = list(rng.choice(30, size=rng.integers(0, 10), replace=False))
-            st = make_state(G, C, S)
+            cn = recompute_cn(G, C, S)
             base = objective(G, C, S, u)
             for x in range(30):
                 if x in S:
                     continue
                 marginal = objective(G, C, S + [x], u) - base
-                assert exact_gain(G, C, st, x, u) == pytest.approx(marginal, abs=1e-9)
-
-    @pytest.fixture
-    def instance20(self):
-        E, C, _, _ = oracle.random_instance(0, m=20, d=6, c=3, cluster_spread=0.3)
-        G = build_graph(E, 0.6)
-        return G, C, make_state(G, C)
-
-    @pytest.mark.parametrize("x", [-1, 20])
-    def test_exact_gain_rejects_out_of_range_id(self, instance20, x):
-        G, C, st = instance20
-        with pytest.raises(DataError, match="out of range"):
-            exact_gain(G, C, st, x, Utility.tanh())
-
-    @pytest.mark.parametrize("x", [-1, 20])
-    def test_surrogate_gain_rejects_out_of_range_id(self, instance20, x):
-        _, C, st = instance20
-        with pytest.raises(DataError, match="out of range"):
-            surrogate_gain(st, C, x, Utility.tanh())
-
-    @pytest.mark.parametrize("x", [-1, 20])
-    def test_state_add_rejects_out_of_range_id(self, instance20, x):
-        G, C, st = instance20
-        with pytest.raises(DataError, match="out of range"):
-            st.add(x, G, C)
-        assert st.selected == [] and not st.selected_mask.any()
+                assert one_row_gain(G, C, cn, x, "exact", u) == pytest.approx(marginal, abs=1e-9)
 
 
 class TestMonotoneSubmodular:
@@ -289,8 +257,8 @@ class TestMonotoneSubmodular:
             small = big[: rng.integers(1, len(big))]
             outside = [x for x in range(25) if x not in big]
             x = int(rng.choice(outside))
-            g_small = exact_gain(G, C, make_state(G, C, small), x, u)
-            g_big = exact_gain(G, C, make_state(G, C, big), x, u)
+            g_small = objective(G, C, small + [x], u) - objective(G, C, small, u)
+            g_big = objective(G, C, big + [x], u) - objective(G, C, big, u)
             assert g_small >= g_big - 1e-9
 
 
@@ -346,7 +314,8 @@ class TestSelect:
             E, C, labels, _ = oracle.random_instance(seed, m=120, d=6, c=3, cluster_spread=0.3,
                                                      noise_fraction=0.2)
             G = build_graph(E, 0.6)
-            inc = G.weights.astype(np.float64) * C.values[G.row_ids()]
+            inc = G.weights.astype(np.float64) * C.values[np.repeat(np.arange(G.m),
+                                                                    np.diff(G.indptr))]
             refreshed = []  # stored edges of each call after the fill
 
             def full_pass(cn):
@@ -558,15 +527,6 @@ class TestSelect:
         G = build_graph(E, 0.6)
         r = select(G, C, None, SelectionConfig(budget=25, tau=0.6))
         assert np.all(np.diff(r.objective_trace) >= -1e-9)
-
-    def test_accumulator_matches_scratch_recompute(self):
-        E, C, _, _ = oracle.random_instance(6, m=50, d=6, c=4, cluster_spread=0.3)
-        G = build_graph(E, 0.6)
-        st = SelectionState(m=50)
-        rng = np.random.default_rng(6)
-        for x in rng.permutation(50)[:20]:
-            st.add(int(x), G, C)
-            np.testing.assert_allclose(st.cn, recompute_cn(G, C, st.selected), atol=1e-9)
 
     def test_streaming_matches_graph_surrogate(self):
         for seed in range(8):
