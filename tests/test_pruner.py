@@ -528,6 +528,27 @@ class TestSelect:
         r = select(G, C, None, SelectionConfig(budget=25, tau=0.6))
         assert np.all(np.diff(r.objective_trace) >= -1e-9)
 
+    def test_accumulator_matches_scratch_recompute(self, monkeypatch):
+        seen, graph_rows = [], pruner._graph_rows
+
+        def copying_rows(G, conf):  # the engine's update, copying cn after each pick
+            update = graph_rows(G, conf)
+
+            def copied(cn, x):
+                rows_inc = update(cn, x)
+                seen.append(cn.copy())
+                return rows_inc
+            return copied
+        monkeypatch.setattr(pruner, "_graph_rows", copying_rows)
+        E, C, _, _ = oracle.random_instance(6, m=50, d=6, c=4, cluster_spread=0.3)
+        G = build_graph(E, 0.6)
+        for rule in ("surrogate", "exact", "lazy"):
+            seen.clear()
+            r = select(G, C, None, SelectionConfig(budget=20, tau=0.6, rule=rule))
+            assert len(seen) == len(r.order) == 20
+            for k, cn in enumerate(seen):
+                np.testing.assert_allclose(cn, recompute_cn(G, C, r.order[: k + 1]), atol=1e-9)
+
     def test_streaming_matches_graph_surrogate(self):
         for seed in range(8):
             E, C, _, _ = oracle.random_instance(seed, m=100, d=8, c=5, cluster_spread=0.3)
