@@ -110,12 +110,20 @@ def cmd_select(args) -> int:
         if args.tau is not None and args.tau != tau:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {tau}")
         G = simgraph.load_graph(args.graph)
-        source = "cache"
-    else:
-        G = simgraph.build_graph(E, cfg.tau)
-        source = "built"
-    result = replace(pruner.select(G, C, labels, cfg),
-                     graph={"source": source, **_graph_summary(G)})
+        result = replace(pruner.select(G, C, labels, cfg),
+                         graph={"source": "cache", **_graph_summary(G)})
+    else:  # one ball stage; then the rows the picks need, or the whole graph
+        stage = simgraph.ball_stage(E, cfg.tau)
+        if pruner.rows_pay(stage, cfg):
+            rows = simgraph.RowSource(stage)
+            result = replace(pruner.select_rows(rows, C, labels, cfg), graph={
+                "source": "rows", "tau": rows.tau, "rows": rows.rows, "edges": rows.edges,
+                "pairs": rows.pairs})
+        else:
+            pairs = stage.build_pairs()
+            G = stage.graph()
+            result = replace(pruner.select(G, C, labels, cfg),
+                             graph={"source": "built", **_graph_summary(G), "pairs": pairs})
     _emit(result.to_json(), args.out)
     return 0
 

@@ -7,7 +7,8 @@ is a non-decreasing concave utility with u(0) = 0 (tanh by default).
 Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
 confidence to the accumulator: a CSR row slice of a prebuilt graph
-(``select``), or an O(m d) on-the-fly similarity scan (``select_streaming``).
+(``select``), graph rows computed as the picks need them (``select_rows``),
+or an O(m d) on-the-fly similarity scan (``select_streaming``).
 Only the loop knows the label classes: it forms the groups, all rows or
 one per present class (balanced), takes them round-robin, drops a class
 once all its rows are picked, and names to the policy the group to pick
@@ -29,15 +30,32 @@ temporaries stay bounded whatever m. A surrogate step costs a refresh
 over the pick's neighbors plus one O(m) argmax; the streaming scan's
 update is dense, so its step stays O(m d).
 
+``select_rows`` runs the surrogate rule, plain or balanced, on a
+``simgraph.RowSource``. A surrogate step reads the pick's row alone, and
+the policy keeps every self gain exact, so ``_rows_on_demand`` computes a
+row only when it is picked, together with the _PREFETCH_ROWS - 1 rows of
+highest gain that have none (one source call), and drops it once picked.
+The rows equal ``build_graph``'s, so the order, gains, trace, config and
+warnings equal ``select``'s on the built graph, bit for bit.
+``rows_pay`` takes that path when the budget times
+``BallStage.row_pairs`` lies below _ROWS_SHARE (a quarter) of
+``BallStage.build_pairs``, a count from the input before any product.
+The ratio is about 2 s / m on clustered rows. On a 2-vCPU VM at d = 64
+the rows stopped paying at a ratio of about 0.3 on wide classes (spread
+0.1, tau 0.7, m = 20k: rows calls of many small groups) and about 0.6 on
+the ``cold_select`` instance (m = 40k), so a quarter keeps every path
+choice at least as fast as the build. The exact and lazy rules read every
+row in CELF's first pass and always build.
+
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
 
 ``check_inputs`` is the one check that the confidence, label and
 noise-flag vectors hold one entry per example, and that balanced
-selection has labels. ``select``, ``select_streaming``, ``objective``,
-``evaluate_subset``, the reference accumulator ``recompute_cn`` and the
-oracle's scorers call it before any work, and the CLI calls it before it
-builds or loads a graph.
+selection has labels. ``select``, ``select_rows``, ``select_streaming``,
+``evaluate_subset``, the reference accumulator ``recompute_cn`` (and
+``objective`` through it) and the oracle's scorers call it before any
+work, and the CLI calls it before it builds or loads a graph.
 """
 
 from __future__ import annotations
@@ -60,11 +78,13 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import NeighborGraph, edge_floor, edge_weights, unit_rows
+from .simgraph import BallStage, NeighborGraph, RowSource, edge_floor, edge_weights, unit_rows
 
 _ALL = slice(None)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
 _FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
+_PREFETCH_ROWS = 256  # rows per ``RowSource`` call of ``_rows_on_demand``
+_ROWS_SHARE = 0.25  # ``rows_pay``'s cut, see the module docstring
 
 
 class Utility:
@@ -130,10 +150,15 @@ def utility_from_config(cfg: SelectionConfig) -> Utility:
 
 def recompute_cn(G: NeighborGraph, C: ConfidenceVector, S) -> np.ndarray:
     """From-scratch accumulator for a subset; reference for the
-    incremental updates."""
+    incremental updates. The confidences and the subset are checked
+    (``check_inputs``, ``check_subset``)."""
     check_inputs(G.m, C)
+    return _accumulate(G, C, check_subset(G.m, S))
+
+
+def _accumulate(G: NeighborGraph, C: ConfidenceVector, idx: list[int]) -> np.ndarray:
     cn = np.zeros(G.m, dtype=np.float64)
-    for x in sorted(int(i) for i in S):
+    for x in sorted(idx):
         js, ws = G.neighbors(x)
         cn[js] += ws.astype(np.float64) * C.values[x]
     return cn
@@ -179,9 +204,7 @@ def objective(G: NeighborGraph, C: ConfidenceVector, S, u: Utility) -> float:
     """Total utility of the subset's neighborhood confidence, computed
     from scratch. A confidence vector of another length than the graph's
     is a DataError."""
-    check_inputs(G.m, C)
-    idx = check_subset(G.m, S)
-    return float(u(recompute_cn(G, C, idx)).sum())
+    return float(u(recompute_cn(G, C, S)).sum())
 
 
 def _marginals(cn: np.ndarray, js: np.ndarray, inc: np.ndarray, starts: np.ndarray,
@@ -241,6 +264,7 @@ def _best_of(gains_at, m: int):
         g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
         taken[x] = True
         return x, g
+    pick.gains = gains  # read by ``_rows_on_demand``
     return pick
 
 
@@ -281,6 +305,29 @@ def _celf(gains_at):
 def _graph_rows(G: NeighborGraph, conf: np.ndarray):
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
         js, ws = G.neighbors(x)
+        inc = ws.astype(np.float64) * conf[x]
+        cn[js] += inc
+        return js, inc
+    return update
+
+
+def _rows_on_demand(source: RowSource, conf: np.ndarray, gains: np.ndarray):
+    """Rows from ``source`` as the picks need them: when the pick has no
+    row yet, it is computed with the _PREFETCH_ROWS - 1 rows of highest
+    gain in ``gains`` (``_best_of``'s) that have none, in one ``source``
+    call. A row is kept until it is picked."""
+    held, asked = {}, np.zeros(len(conf), dtype=bool)
+
+    def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+        if x not in held:
+            free = np.where(asked, -np.inf, gains)  # taken rows' gains are -inf too
+            free[x] = -np.inf
+            k = min(_PREFETCH_ROWS, len(free)) - 1
+            top = np.argpartition(-free, k)[:k]  # the k highest
+            ids = np.append(top[free[top] > -np.inf], x)
+            asked[ids] = True
+            held.update(zip(ids.tolist(), source(ids)))
+        js, ws = held.pop(x)
         inc = ws.astype(np.float64) * conf[x]
         cn[js] += inc
         return js, inc
@@ -351,17 +398,48 @@ def select(
     if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
         raise DataError("exact marginals need every graph row to hold its self-loop")
     cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
-    notes = []
-    if labels is not None and not cfg.balanced:
-        notes.append("labels are used only by balanced selection; ignored")
     u = utility_from_config(cfg)
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
         pick = _best_of(_self_gains(C.values, u), G.m)
     else:  # exact and lazy: one CELF computation
         pick = _celf(_exact_gains(G, C.values, u))
-    result = _greedy(G.m, cfg, u, labels.values if cfg.balanced else None, pick,
-                     _graph_rows(G, C.values))
-    return replace(result, warnings=result.warnings + notes)
+    return _run(G.m, cfg, u, labels, pick, _graph_rows(G, C.values))
+
+
+def rows_pay(stage: BallStage, cfg: SelectionConfig) -> bool:
+    """Whether ``select_rows`` on a ``RowSource`` of ``stage`` is the
+    cheaper way to run ``cfg``: the surrogate rule, and the candidate
+    pairs of as many rows as the budget below _ROWS_SHARE of the pairs
+    that building the whole graph multiplies."""
+    budget = min(cfg.budget, stage.m)
+    return (cfg.rule == "surrogate"
+            and budget * stage.row_pairs() < _ROWS_SHARE * stage.build_pairs())
+
+
+def select_rows(source: RowSource, C: ConfidenceVector, labels: LabelVector | None,
+                cfg: SelectionConfig) -> SelectionResult:
+    """Surrogate selection, plain or balanced, on graph rows computed as
+    the picks need them (``_rows_on_demand``): the same result as
+    ``select`` on ``build_graph`` at ``source``'s tau, bit for bit. A
+    surrogate step reads the pick's row alone, and ``_best_of`` keeps
+    every self gain exact, so no other row is needed."""
+    if cfg.rule != "surrogate":
+        raise ConfigError("rows on demand serve only the surrogate rule")
+    check_inputs(source.m, C, labels, cfg)
+    cfg = replace(cfg, tau=source.tau)
+    u = utility_from_config(cfg)
+    pick = _best_of(_self_gains(C.values, u), source.m)
+    return _run(source.m, cfg, u, labels, pick, _rows_on_demand(source, C.values, pick.gains))
+
+
+def _run(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None, pick,
+         update) -> SelectionResult:
+    """``_greedy`` over the configured groups, noting labels it ignores."""
+    result = _greedy(m, cfg, u, labels.values if cfg.balanced else None, pick, update)
+    if labels is not None and not cfg.balanced:
+        return replace(result, warnings=result.warnings
+                       + ["labels are used only by balanced selection; ignored"])
+    return result
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:
@@ -410,7 +488,7 @@ def evaluate_subset(
     is a DataError."""
     check_inputs(G.m, C, noise_flags=noise_flags)
     idx = check_subset(G.m, S)
-    cn = recompute_cn(G, C, idx)
+    cn = _accumulate(G, C, idx)
     noise_ratio = None
     if noise_flags is not None:
         noise_ratio = (

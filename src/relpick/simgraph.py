@@ -42,6 +42,17 @@ records (6 bytes per edge), the CSR (8 bytes per edge) and one band's
 temporaries; ``NeighborGraph.validate`` holds O(m) arrays and one band's
 temporaries beside the graph. Stored weights always lie in [tau, 1].
 
+``ball_stage`` runs the ball stage once; ``BallStage.graph`` builds the
+graph from it, and ``RowSource`` computes any rows of that graph without
+the others. The build scores a pair from one side, the group of its
+earlier row in the ball order, and mirrors it. A row on demand takes
+both sides: its group's columns, and the rows of every earlier ball
+whose columns hold it. ``edge_weights`` gives a pair the same edge and
+weight in any block layout, so these rows equal the graph's, byte for
+byte. Before any product, ``BallStage.build_pairs`` counts the dot
+products of the build and ``BallStage.row_pairs`` those of a row on
+demand, on the mean; ``pruner.rows_pay`` compares the two.
+
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
 in the cache, so m must stay below 2^31. Row offsets are int64.
 
@@ -240,46 +251,169 @@ def edge_weights(sims: np.ndarray, rows, cols, U: np.ndarray,
 
 
 def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
+    return ball_stage(E, tau).graph()
+
+
+@dataclass
+class BallStage:
+    """The ball stage of one (E, tau), from ``_balls``: the order that lists
+    the rows ball by ball, the rows P = U[order] and each group's (lo, hi,
+    at). ``graph`` builds every row from it, once, and ``RowSource`` any
+    rows."""
+
+    tau: float
+    floor: float
+    order: np.ndarray
+    P: np.ndarray | None
+    groups: list | None
+
+    @property
+    def m(self) -> int:
+        return len(self.order)
+
+    def build_pairs(self) -> int:
+        """The dot products ``graph`` multiplies: a block of rows start..
+        of a group takes the group's columns from row start on."""
+        total = 0
+        for (lo, hi, at), step in zip(self.groups, _steps(self.groups)):
+            starts = np.arange(0, hi - lo, step)
+            total += int((np.minimum(step, hi - lo - starts) * (at.size - starts)).sum())
+        return total
+
+    def row_pairs(self) -> float:
+        """The mean, over the rows, of the columns of the row's group: its
+        ``at``, and the rows of every earlier ball whose ``at`` holds one
+        of the group's rows. ``RowSource`` multiplies a block of the
+        group's rows against them, or against fewer."""
+        sizes = np.array([hi - lo for lo, hi, _ in self.groups])
+        group_of = np.repeat(np.arange(sizes.size), sizes)
+        total = 0
+        for (lo, hi, at), n in zip(self.groups, sizes.tolist()):
+            later = group_of[at[n:]]  # ascending, as at is
+            reached = later[np.diff(later, prepend=-1) > 0]  # the groups whose rows at holds
+            total += n * (at.size + int(sizes[reached].sum()))
+        return total / self.m
+
+    def graph(self) -> NeighborGraph:
+        """The graph ``build_graph`` returns: every row, in one walk over
+        the groups, then the CSR assembled band by band. It uses the stage
+        up: P and the groups are let go before the assembly, which holds
+        the records and the CSR."""
+        m, P, groups, self.P, self.groups = self.m, self.P, self.groups, None, None
+        segments, bands, degree = _upper_edges(self.order, P, groups, self.floor)
+        del P, groups
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(degree, out=indptr[1:])
+        del degree
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        weights = np.empty(indptr[-1], dtype=np.float32)
+        # Row i is [mirrored edges, columns < i][self-loop][own edges, columns > i].
+        # Every mirror in row j comes from a band at or before j's, so filling the
+        # bands in ascending order, each band's mirrors before its own edges,
+        # writes every row front to back.
+        fill = indptr[:-1].copy()  # each row's next free slot
+        for b, runs in enumerate(bands):
+            found = np.concatenate([segments[k][start:stop] for k, start, stop in runs])
+            by_row = _stable_order(found[:, 0] - b * _BAND_ROWS, _BAND_ROWS,
+                                   _stable_order(found[:, 1], m))
+            found = found[by_row]  # row-major
+            del by_row
+            i, j, w = found[:, 0], found[:, 1], found[:, 2].view(np.float32)
+            # each column's edges in ascending row, ending with the self-loop
+            by_col = _stable_order(j, m)
+            at = _slots(fill, j[by_col])
+            indices[at], weights[at] = i[by_col], w[by_col]
+            del by_col
+            own = j > i
+            at = _slots(fill, i[own])
+            indices[at], weights[at] = j[own], w[own]
+        return NeighborGraph(m=m, tau=self.tau, indptr=indptr, indices=indices, weights=weights)
+
+
+def ball_stage(E: EmbeddingMatrix, tau: float) -> BallStage:
+    """The ball stage that ``build_graph`` and ``RowSource`` start from."""
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
-    m = E.m
-    segments, bands, degree = _upper_edges(E, edge_floor(tau))
-    indptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    del degree
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    weights = np.empty(indptr[-1], dtype=np.float32)
-    # Row i is [mirrored edges, columns < i][self-loop][own edges, columns > i].
-    # Every mirror in row j comes from a band at or before j's, so filling the
-    # bands in ascending order, each band's mirrors before its own edges,
-    # writes every row front to back.
-    fill = indptr[:-1].copy()  # each row's next free slot
-    for b, runs in enumerate(bands):
-        found = np.concatenate([segments[k][start:stop] for k, start, stop in runs])
-        by_row = _stable_order(found[:, 0] - b * _BAND_ROWS, _BAND_ROWS, _stable_order(found[:, 1], m))
-        found = found[by_row]  # row-major
-        del by_row
-        i, j, w = found[:, 0], found[:, 1], found[:, 2].view(np.float32)
-        by_col = _stable_order(j, m)  # each column's edges in ascending row, ending with the self-loop
-        at = _slots(fill, j[by_col])
-        indices[at], weights[at] = i[by_col], w[by_col]
-        del by_col
-        own = j > i
-        at = _slots(fill, i[own])
-        indices[at], weights[at] = j[own], w[own]
-    return NeighborGraph(m=m, tau=float(tau), indptr=indptr, indices=indices, weights=weights)
+    floor = edge_floor(tau)
+    return BallStage(float(tau), floor, *_balls(unit_rows(E), floor))
 
 
-def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[list, list, np.ndarray]:
+class RowSource:
+    """Rows of the graph that ``build_graph`` returns, computed on demand:
+    a call with ids returns, per id, what the graph's ``neighbors`` gives,
+    the columns ascending (intp) and the float32 weights, self-loop
+    included.
+
+    A row holds the pairs that the build scores for it from either side:
+    a row in group g is multiplied against g's columns ``at`` (the
+    build's own side) and against the rows of every earlier ball whose
+    ``at`` holds it (the side the build mirrors). The requested rows of
+    one group are one block: the group's columns and the rows of the
+    earlier balls that reach any of the block's rows, in sub-blocks of at
+    most _BLOCK_BYTES of cosines (or one row). ``edge_weights`` scores
+    them, and pairs of a ball that does not reach their row are dropped,
+    so a row holds the same edges and weights as the graph's. ``rows``,
+    ``edges`` and ``pairs`` count the rows computed, their stored
+    entries and the dot products multiplied."""
+
+    def __init__(self, stage: BallStage):
+        self.stage, self.tau, self.m = stage, stage.tau, stage.m
+        self.rank = np.empty(self.m, dtype=np.intp)  # each row's position in P
+        self.rank[stage.order] = np.arange(self.m)
+        sizes = [hi - lo for lo, hi, _ in stage.groups]
+        self.group_of = np.repeat(np.arange(len(sizes)), sizes)  # each position's group
+        self.near = np.zeros((len(sizes), self.m), dtype=bool)  # near[b, p]: ball b's at holds p
+        for b, (lo, hi, at) in enumerate(stage.groups):
+            self.near[b, at[hi - lo:]] = True
+        self.rows = self.edges = self.pairs = 0
+
+    def __call__(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
+        s = self.stage
+        ids = np.asarray(ids, dtype=np.intp)
+        pos = self.rank[ids]
+        group = self.group_of[pos]
+        out = [None] * ids.size
+        for g in np.unique(group).tolist():
+            block = np.flatnonzero(group == g)
+            rows = pos[block]
+            lo, hi, at = s.groups[g]
+            reach = np.flatnonzero(self.near[:g, rows].any(axis=1)).tolist()
+            ranges = [s.groups[b][:2] for b in reach]
+            cols = np.concatenate([at] + [np.arange(a, z) for a, z in ranges])
+            owner = np.repeat([-1] + reach, [at.size] + [z - a for a, z in ranges])  # -1: at's
+            X = s.P[lo:hi] if cols.size == hi - lo else s.P[cols]  # own rows alone: a view
+            step = max(1, _BLOCK_BYTES // (8 * cols.size))
+            buf = np.empty(min(step, rows.size) * cols.size)
+            for start in range(0, rows.size, step):
+                part = rows[start:start + step]
+                flat, w32 = edge_weights(_cosines(s.P[part], X, buf), part, cols, s.P, s.floor)
+                r, c = divmod(flat, cols.size)
+                b = owner[c]
+                keep = b < 0
+                mirror = ~keep
+                keep[mirror] = self.near[b[mirror], part[r[mirror]]]
+                r, j, w32 = r[keep], s.order[cols[c[keep]]].astype(np.intp), w32[keep]
+                by_row = np.argsort(r * self.m + j)
+                r, j, w32 = r[by_row], j[by_row], w32[by_row]
+                cuts = np.cumsum(np.bincount(r, minlength=part.size))[:-1]
+                for k, js, ws in zip(block[start:start + step].tolist(), np.split(j, cuts),
+                                     np.split(w32, cuts)):
+                    out[k] = (js, ws)
+                self.pairs += part.size * cols.size
+                self.edges += j.size
+        self.rows += ids.size
+        return out
+
+
+def _upper_edges(perm: np.ndarray, P: np.ndarray, groups: list,
+                 floor: float) -> tuple[list, list, np.ndarray]:
     """The edges (i, j) with i <= j, the self-loops included, and each row's
     degree. The edges are (i, j, float32 weight bits) int32 records in
     segments, in no set order; bands[b] lists the (segment, start, stop)
     runs that hold the records with i in band b (rows b * _BAND_ROWS on).
     Each group's rows, in the ball-ordered rows P, are multiplied in blocks
     against the group's columns; each block keeps its upper triangle."""
-    m = E.m
-    perm, P, groups = _balls(unit_rows(E), floor)
-    steps = [max(1, _BLOCK_BYTES // (8 * at.size)) for _, _, at in groups]
+    m, steps = len(P), _steps(groups)
     buf = np.empty(max(min(step, hi - lo) * at.size for (lo, hi, at), step in zip(groups, steps)))
     rule = partial(edge_weights, U=P, floor=floor)
     bands = [[] for _ in range(0, m, _BAND_ROWS)]
@@ -315,6 +449,12 @@ def _upper_edges(E: EmbeddingMatrix, floor: float) -> tuple[list, list, np.ndarr
                 bands[b].append((len(segments) - 1, n, n + int(sizes[b])))
                 n += int(sizes[b])
     return segments, bands, degree
+
+
+def _steps(groups: list) -> list[int]:
+    """Rows per build block of each group: at most _BLOCK_BYTES of cosines,
+    or one row."""
+    return [max(1, _BLOCK_BYTES // (8 * at.size)) for _, _, at in groups]
 
 
 def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relpick
-from relpick import oracle, simgraph
+from relpick import oracle, pruner, simgraph
 from relpick.cli import build_parser, main
 from relpick.dataspec import (
     SELECTION_RULES,
@@ -142,6 +142,7 @@ class TestSelectCommand:
         def no_graph(*args):
             raise AssertionError("the graph was built or loaded before the inputs were checked")
         monkeypatch.setattr(simgraph, "build_graph", no_graph)
+        monkeypatch.setattr(simgraph, "ball_stage", no_graph)
         monkeypatch.setattr(simgraph, "load_graph", no_graph)
         bad = [str(tmp / a) if a == "short" else a for a in bad]
         argv = ["select", "--embeddings", emb] + bad
@@ -306,9 +307,47 @@ class TestSelectCommand:
             argv += ["--tau", "0.3"]
         capsys.readouterr()
         assert main(argv) == 0
+        # the build multiplies the ball {0, 1} by itself and the loose row 2
+        # by itself: 2 * 2 + 1 pairs; a cache multiplies none
         assert json.loads(capsys.readouterr().out)["graph"] == {
             "source": source, "tau": 0.3, "edges": 5,
-            "degree": {"min": 0, "mean": 2 / 3, "max": 1}}
+            "degree": {"min": 0, "mean": 2 / 3, "max": 1},
+            **({"pairs": 5} if source == "built" else {})}
+
+    def test_rows_result_records_rows_edges_and_pairs(self, tmp_path, capsys):
+        # 16 orthogonal rows, one loose group: one pick's row costs 16 pairs
+        # against the build's one block of 16 by 16, so the rows are computed
+        # on demand, all 16 in the first call (the pick and the 15 others)
+        emb, conf = tmp_path / "e.bin", tmp_path / "c.txt"
+        write_matrix_binary(emb, np.eye(16, dtype=np.float32))
+        write_vector_text(conf, np.linspace(0.1, 0.9, 16))
+        assert main(["select", "--embeddings", str(emb), "--confidences", str(conf),
+                     "--budget", "1", "--tau", "0.3"]) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["graph"] == {"source": "rows", "tau": 0.3, "rows": 16, "edges": 16,
+                                   "pairs": 16 * 16}
+        assert result["order"] == [15]
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_rows_and_build_paths_write_the_same_result(self, tmp_path, monkeypatch, capsys,
+                                                        balanced):
+        E, C, labels, _ = oracle.random_instance(0, m=600, d=16, c=4, cluster_spread=0.1,
+                                                 noise_fraction=0.2)
+        emb, conf, lab = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "l.txt"
+        write_matrix_binary(emb, E.data)
+        write_vector_text(conf, C.values)
+        write_vector_text(lab, labels.values)
+        argv = ["select", "--embeddings", str(emb), "--confidences", str(conf), "--budget", "60",
+                "--tau", "0.9"] + (["--balanced", "--labels", str(lab)] if balanced else [])
+        results = {}
+        for rows in (False, True):
+            monkeypatch.setattr(pruner, "rows_pay", lambda stage, cfg, rows=rows: rows)
+            assert main(argv) == 0
+            results[rows] = json.loads(masked(capsys.readouterr().out))
+        assert [r["graph"]["source"] for r in results.values()] == ["built", "rows"]
+        for r in results.values():
+            del r["graph"]
+        assert results[False] == results[True]
 
     def test_cache_of_float32_boundary_pair_loads(self, tmp_path, capsys):
         emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"

@@ -19,7 +19,7 @@ from relpick import (
 )
 from relpick import NoiseFlagVector, LabelVector, NeighborGraph
 from relpick.pruner import recompute_cn, select_streaming
-from relpick import oracle, pruner
+from relpick import oracle, pruner, simgraph
 
 from conftest import boundary_pair, random_unit_rows, rescaled_duplicates
 
@@ -169,6 +169,14 @@ class TestCheckInputs:
         C = ConfidenceVector(np.full(n, 0.5))
         with pytest.raises(DataError, match=f"^confidence length {n} does not match 3 examples$"):
             score(G, C, Utility.tanh())
+
+    @pytest.mark.parametrize("S,match", [([-1], "out of range"), ([3], "out of range"),
+                                         ([1, 1], "duplicate"), ([0.5], "not an integer")])
+    def test_recompute_cn_refuses_bad_subsets(self, orthogonal3, S, match):
+        # an unchecked -1 sliced an empty row, and a repeated id counted twice
+        _, C, G = orthogonal3
+        with pytest.raises(DataError, match=match):
+            recompute_cn(G, C, S)
 
     def test_labels_and_noise_flags_of_another_length_refused(self, orthogonal3):
         _, C, G = orthogonal3
@@ -604,3 +612,76 @@ class TestEvaluateSubset:
         rep = evaluate_subset(G, C, [0], Utility.tanh())
         assert rep.coverage == 1.0
         assert rep.cn_min == pytest.approx(0.5) and rep.cn_max == pytest.approx(0.5)
+
+
+def same_result(a, b):
+    """Everything but the wall times, floats compared bit for bit."""
+    assert a.order == b.order
+    assert a.gains == b.gains
+    assert a.objective_trace == b.objective_trace
+    assert a.config == b.config and a.warnings == b.warnings
+
+
+class TestRowsOnDemand:
+    """``select_rows`` on rows computed as the picks need them returns what
+    ``select`` returns on the whole graph."""
+
+    @staticmethod
+    def both(E, C, labels, cfg):
+        graphed = select(build_graph(E, cfg.tau), C, labels, cfg)
+        source = simgraph.RowSource(simgraph.ball_stage(E, cfg.tau))
+        return graphed, pruner.select_rows(source, C, labels, cfg), source
+
+    @pytest.mark.parametrize("prefetch", [1, 7, 256])
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("spread,tau", [(0.05, 0.9), (0.3, 0.7)])
+    def test_same_result_as_the_graph(self, monkeypatch, prefetch, balanced, spread, tau):
+        monkeypatch.setattr(pruner, "_PREFETCH_ROWS", prefetch)
+        E, C, labels, _ = oracle.random_instance(4, m=700, d=16, c=5, cluster_spread=spread,
+                                                 noise_fraction=0.2)
+        cfg = SelectionConfig(budget=120, tau=tau, balanced=balanced)
+        graphed, rowed, source = self.both(E, C, labels if balanced else None, cfg)
+        same_result(graphed, rowed)
+        assert source.rows < E.m if prefetch < 256 else source.rows >= 120
+
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_budget_over_population_is_clamped(self, balanced):
+        E, C, labels, _ = oracle.random_instance(1, m=40, d=8, c=3, cluster_spread=0.1)
+        cfg = SelectionConfig(budget=50, tau=0.9, balanced=balanced)
+        graphed, rowed, source = self.both(E, C, labels, cfg)
+        same_result(graphed, rowed)
+        assert sorted(rowed.order) == list(range(40))
+        assert any("clamped" in w for w in rowed.warnings)
+        assert (source.rows, source.edges) == (40, build_graph(E, 0.9).nnz)
+
+    def test_zero_confidences(self):
+        E = oracle.random_instance(2, m=300, d=8, c=3, cluster_spread=0.1)[0]
+        graphed, rowed, _ = self.both(E, ConfidenceVector(np.zeros(300)), None,
+                                      SelectionConfig(budget=30, tau=0.9))
+        same_result(graphed, rowed)
+        assert rowed.order == list(range(30)) and set(rowed.gains) == {0.0}
+
+    def test_one_row(self):
+        E = EmbeddingMatrix(np.array([[0.6, 0.8]], dtype=np.float32))
+        graphed, rowed, _ = self.both(E, ConfidenceVector([0.7]), None,
+                                      SelectionConfig(budget=3, tau=0.9))
+        same_result(graphed, rowed)
+        assert rowed.order == [0]
+
+    def test_exact_rules_refused(self, orthogonal3):
+        E, C, _ = orthogonal3
+        source = simgraph.RowSource(simgraph.ball_stage(E, 0.5))
+        for rule in ("exact", "lazy"):
+            with pytest.raises(ConfigError):
+                pruner.select_rows(source, C, None, SelectionConfig(budget=1, rule=rule))
+
+    def test_rows_pay_on_a_small_budget_and_the_surrogate_rule_only(self):
+        # the candidate pairs of s rows against the build's: about 2 s / m
+        E = oracle.random_instance(0, m=2000, d=32, c=10, cluster_spread=0.05,
+                                   noise_fraction=0.2)[0]
+        stage = simgraph.ball_stage(E, 0.9)
+        assert pruner.rows_pay(stage, SelectionConfig(budget=200, tau=0.9))
+        assert pruner.rows_pay(stage, SelectionConfig(budget=200, tau=0.9, balanced=True))
+        assert not pruner.rows_pay(stage, SelectionConfig(budget=200, tau=0.9, rule="lazy"))
+        assert not pruner.rows_pay(stage, SelectionConfig(budget=1000, tau=0.9))
+        assert not pruner.rows_pay(stage, SelectionConfig(budget=10 ** 6, tau=0.9))

@@ -742,3 +742,109 @@ class TestBands:
         assert np.diff(G.indptr).tolist() == [6, 6, 6, 1, 1, 1, 6, 6, 6], "precondition"
         assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.9))
         G.validate()
+
+
+def loose(seed=0, m=1500, d=64):
+    """Wide classes at tau 0.7: balls whose columns hold rows of later groups."""
+    return random_instance(seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2)[0]
+
+
+def thousand_classes(seed=0, m=2000, d=16):
+    return random_instance(seed, m=m, d=d, c=1000, cluster_spread=0.05, noise_fraction=0.2)[0]
+
+
+class TestRowSource:
+    """``RowSource`` gives any rows of ``build_graph``'s graph, byte for
+    byte, from the ball stage alone."""
+
+    INSTANCES = [
+        ("clustered", lambda: clustered(0), 0.9),
+        ("loose", loose, 0.7),
+        ("thousand-classes", thousand_classes, 0.9),
+        ("band-pair", lambda: band_pair()[0], 0.5),
+        ("boundary-pair", lambda: boundary_pair(0.9), 0.9),
+    ]
+
+    @staticmethod
+    def count_pairs(monkeypatch):
+        scored, gemm = [], simgraph._cosines
+
+        def counting(A, B, buf):
+            scored.append((len(A), len(B)))
+            return gemm(A, B, buf)
+        monkeypatch.setattr(simgraph, "_cosines", counting)
+        return scored
+
+    @pytest.mark.parametrize("cap", [8 * 64 * 5, 8 << 20])
+    @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_every_row_equals_the_graphs(self, monkeypatch, cap, name, make, tau):
+        monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        E = make()
+        G = build_graph(E, tau)
+        source = simgraph.RowSource(simgraph.ball_stage(E, tau))
+        if name == "loose":
+            stage = source.stage
+            assert any(at.size > hi - lo for lo, hi, at in stage.groups[:-1]), "precondition"
+        ids = np.random.default_rng(0).permutation(E.m)
+        chunks = np.split(ids, [1, 4, 40, 41]) if E.m > 41 else [ids[:1], ids[1:]]
+        rows = [row for chunk in chunks for row in source(chunk)]
+        for i, (js, ws) in zip(ids.tolist(), rows):
+            gj, gw = G.neighbors(i)
+            assert js.dtype == gj.dtype and np.array_equal(js, gj), i
+            assert ws.dtype == np.float32 and ws.tobytes() == gw.tobytes(), i
+        assert (source.rows, source.edges) == (E.m, G.nnz)
+
+    @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_counts_are_the_pairs_multiplied(self, monkeypatch, name, make, tau):
+        E = make()
+        scored = self.count_pairs(monkeypatch)
+        stage = simgraph.ball_stage(E, tau)
+        pairs = stage.build_pairs()
+        stage.graph()
+        assert sum(a * b for a, b in scored) == pairs
+        scored.clear()
+        stage = simgraph.ball_stage(E, tau)
+        source = simgraph.RowSource(stage)
+        source(np.arange(0, E.m, 3))
+        assert sum(a * b for a, b in scored) == source.pairs
+        # a group's rows are multiplied against the group's columns at most
+        assert source.pairs <= stage.row_pairs() * E.m
+
+    def test_mirror_side_comes_from_earlier_balls(self):
+        # the hand instance of test_balls_hand_each_group_its_columns: row 3,
+        # loose, lies within ball e2's reach, so its row is multiplied
+        # against that ball's rows 1 and 4 too, and keeps its edge to row 4
+        # (50 degrees), which the build finds from row 4's side
+        a = math.radians(5.0)
+        E = EmbeddingMatrix(np.array([
+            [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
+            [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
+            [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
+        source = simgraph.RowSource(simgraph.ball_stage(E, 0.6))
+        G = build_graph(E, 0.6)
+        js, ws = source([3])[0]
+        assert js.tolist() == G.neighbors(3)[0].tolist() == [3, 4]
+        assert ws.tobytes() == G.neighbors(3)[1].tobytes()
+        assert source.pairs == 2 + 2  # the loose rows 3 and 6, and ball e2's rows 1 and 4
+
+    @pytest.mark.parametrize("m", [2000, 8000])
+    def test_blocks_stay_within_the_cap_whatever_m(self, monkeypatch, m):
+        # unclustered rows (no two within 45 degrees in 64 dimensions): one
+        # group of m columns, so 256 rows would take 8 * 256 * m bytes of
+        # cosines (16 MB at m = 8000) without the cap
+        cap, d = 1 << 20, 64
+        monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
+        E = random_instance(1, m=m, d=d, c=4, noise_fraction=1.0)[0]
+        source = simgraph.RowSource(simgraph.ball_stage(E, 0.9))
+        assert len(source.stage.groups) == 1, "precondition"
+        scored = self.count_pairs(monkeypatch)
+        tracemalloc.start()
+        try:
+            rows = source(np.arange(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 256
+        assert all(8 * a * b <= cap for a, b in scored)
+        # the gathered columns and their ids (O(m d)), then the blocks
+        assert peak < (8 * d + 24) * m + 3 * cap, f"{peak} bytes"

@@ -9,11 +9,16 @@ instances and digests, on each:
 - the graph cache that `simgraph.save_graph` writes;
 - `select` under each rule (surrogate, exact, lazy), with and without class
   balancing;
-- `select_streaming` at the graph's tau.
+- `select_streaming` at the graph's tau;
+- `relpick select` from files, with no graph cache, with and without class
+  balancing, through `cli.main`, at a budget of m / 20: small enough that
+  the rows the picks need are computed on demand rather than the whole
+  graph (see `pruner.rows_pay`).
 
 A selection's digest is a sha256 prefix of its (order, gains,
 objective_trace), the floats written by `repr`, which round-trips them
-exactly; a cache's digest is one of its bytes.
+exactly; a `relpick select` run's also covers its `config` and `warnings`.
+A cache's digest is one of its bytes.
 
 Prints one line per case with both trees' digests and "same" or "DIFF",
 then exits 1 if any case differs or is missing from a tree, else 0.
@@ -42,7 +47,7 @@ def _digest(data: bytes) -> str:
 def digests() -> dict:
     """Every case's digest under the relpick that this process imports."""
     import relpick
-    from relpick import SelectionConfig, build_graph, oracle, pruner, simgraph
+    from relpick import SelectionConfig, build_graph, cli, dataspec, oracle, pruner, simgraph
 
     out = {"relpick": relpick.__file__, "cases": {}}
     cases = out["cases"]
@@ -64,6 +69,21 @@ def digests() -> dict:
                            pruner.select(G, C, labels if balanced else None, cfg))
             record(f"{key} streaming",
                    pruner.select_streaming(E, C, SelectionConfig(budget=m // 10, tau=TAU)))
+            files = [Path(tmp) / name for name in ("e.bin", "c.txt", "l.txt", "r.json")]
+            dataspec.write_matrix_binary(files[0], E.data)
+            dataspec.write_vector_text(files[1], C.values)
+            dataspec.write_vector_text(files[2], labels.values)
+            for balanced in (False, True):
+                argv = ["select", "--embeddings", str(files[0]), "--confidences", str(files[1]),
+                        "--budget", str(m // 20), "--tau", repr(TAU), "--out", str(files[3])]
+                if balanced:
+                    argv += ["--balanced", "--labels", str(files[2])]
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"relpick {' '.join(argv)} failed")
+                r = json.loads(files[3].read_text())
+                cases[f"{key} cli{' balanced' if balanced else ''}"] = _digest(repr(
+                    [r[k] for k in ("order", "gains", "objective_trace", "config", "warnings")]
+                ).encode())
     return out
 
 
