@@ -162,11 +162,18 @@ def cmd_oracle(args) -> int:
 
 
 def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
-    """Per-step selection timings for the greedy engine vs k-center.
+    """Per-step selection timings for the greedy engine
+    (``pruner.select_streaming``) vs k-center.
 
-    Graph construction is excluded from the per-step numbers. Every size
-    is checked before the first one runs. Returns a list of {algorithm,
-    m, step, seconds} rows.
+    Graph construction is excluded from the per-step numbers. Below
+    ``pruner._STREAM_ROWS_FROM`` (1,024) steps the engine runs the
+    similarity scan, whose steps each cost one O(m d) rescan. At or above
+    it, ``relpick bench --steps`` times the rows path, whose steps are
+    uneven: the one step per prefetch call (``pruner._PREFETCH_ROWS``
+    picks) that computes the next batch of rows carries the work, and the
+    steps between cost an argmax and a row slice; the ball stage that the
+    rows start from is timed in no step. Every size is checked before the
+    first one runs. Returns a list of {algorithm, m, step, seconds} rows.
     """
     if d < 1:
         raise ConfigError(f"bench d must be >= 1, got {d}")

@@ -8,7 +8,8 @@ Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
 confidence to the accumulator: a CSR row slice of a prebuilt graph
 (``select``), graph rows computed as the picks need them (``select_rows``),
-or an O(m d) on-the-fly similarity scan (``select_streaming``).
+or an O(m d) on-the-fly similarity scan (``select_streaming`` below
+_STREAM_ROWS_FROM picks).
 Only the loop knows the label classes: it forms the groups, all rows or
 one per present class (balanced), takes them round-robin, drops a class
 once all its rows are picked, and names to the policy the group to pick
@@ -27,8 +28,11 @@ sum, so the two agree bit for bit. Each call cuts its rows into runs
 holding at most ``_FILL_EDGES`` stored edges (a larger row is a run of
 its own) and writes each run's marginals into one output array, so its
 temporaries stay bounded whatever m. A surrogate step costs a refresh
-over the pick's neighbors plus one O(m) argmax; the streaming scan's
-update is dense, so its step stays O(m d).
+over the pick's neighbors plus one O(m) argmax; the similarity scan's
+update is dense, so its step stays O(m d), the same at every step. On
+rows computed on demand the steps are uneven: the step whose pick has
+no row yet makes one ``RowSource`` call for _PREFETCH_ROWS rows and
+carries the work of the steps after it.
 
 ``select_rows`` runs the surrogate rule, plain or balanced, on a
 ``simgraph.RowSource``. A surrogate step reads the pick's row alone, and
@@ -45,7 +49,10 @@ the rows stopped paying at a ratio of about 0.3 on wide classes (spread
 0.1, tau 0.7, m = 20k: rows calls of many small groups) and about 0.6 on
 the ``cold_select`` instance (m = 40k), so a quarter keeps every path
 choice at least as fast as the build. The exact and lazy rules read every
-row in CELF's first pass and always build.
+row in CELF's first pass and always build. ``select_streaming`` takes the
+rows path by budget alone, from _STREAM_ROWS_FROM = 4 x _PREFETCH_ROWS
+(1,024) picks, where the rows ran at least about as fast as the scan on
+every shape measured (see its docstring).
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -78,13 +85,15 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import BallStage, NeighborGraph, RowSource, edge_floor, edge_weights, unit_rows
+from .simgraph import (BallStage, NeighborGraph, RowSource, ball_stage, edge_floor, edge_weights,
+                       unit_rows)
 
 _ALL = slice(None)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
 _FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
 _PREFETCH_ROWS = 256  # rows per ``RowSource`` call of ``_rows_on_demand``
 _ROWS_SHARE = 0.25  # ``rows_pay``'s cut, see the module docstring
+_STREAM_ROWS_FROM = 4 * _PREFETCH_ROWS  # budgets ``select_streaming`` runs on rows
 
 
 class Utility:
@@ -443,16 +452,35 @@ def _run(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None, p
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:
-    """Graph-free surrogate selection: each pick rescans similarities to
-    the chosen example on the fly (O(m d) per step), so no neighborhood
-    graph is ever built. Produces the same order as rule='surrogate'
-    with a prebuilt graph at the same tau; used by the scaling bench,
-    where per-step cost is the quantity under test. A confidence vector
-    of another length than E's is a DataError.
+    """Graph-free surrogate selection: the same order as rule='surrogate'
+    on ``build_graph(E, cfg.tau)``, with no whole graph built. A budget,
+    clamped to m, of at least _STREAM_ROWS_FROM (1,024) runs
+    ``select_rows`` on a ``RowSource`` of one ``ball_stage``, which
+    returns ``select``'s result on that graph bit for bit and computes
+    only the rows the picks need, in batches of _PREFETCH_ROWS. A smaller
+    budget runs the similarity scan: each pick rescans the similarities
+    to the chosen example (one gemv, O(m d) per step) with a dense
+    update, so every step costs the same; criterion 8's scaling bench
+    (100 steps) times it.
+
+    The cut was calibrated in-process on a 2-vCPU VM, best of 2 totals,
+    rows / scan at budgets 256, 512, 768, 1024 and 2000: the criterion-8
+    instance (d = 32, spread 0.1, tau 0.8) at m = 2048 1.13, 1.09, 0.93,
+    0.98, 0.70 and at m = 16384 1.07, 0.74, 0.63, 0.59, 0.48; the
+    ``cold_select`` instance (m = 40k, d = 64) 0.31, 0.18, 0.16, 0.13,
+    0.10; wide classes (m = 20k, d = 64, spread 0.1, tau 0.7) 1.91, 1.28,
+    1.03, 0.95, 0.64. At 100 steps the rows cost 2.2-3.4 times the scan
+    except on ``cold_select`` (0.74). So the rows pay from about 300 picks
+    at m = 16k and below 100 on ``cold_select``, but only from about 800
+    to 1,000 at m = 2048 and on wide classes; from 1,024 on, every shape
+    measured takes the faster path or one within a few percent of it.
+    A confidence vector of another length than E's is a DataError.
     """
     if cfg.rule != "surrogate" or cfg.balanced:
         raise ConfigError("streaming selection supports only the plain surrogate rule")
     check_inputs(E.m, C)
+    if min(cfg.budget, E.m) >= _STREAM_ROWS_FROM:
+        return select_rows(RowSource(ball_stage(E, cfg.tau)), C, None, cfg)
     u = utility_from_config(cfg)
     update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
     return _greedy(E.m, cfg, u, None, _best_of(_self_gains(C.values, u), E.m), update)

@@ -271,11 +271,17 @@ class BallStage:
     def m(self) -> int:
         return len(self.order)
 
+    def _parts(self) -> tuple[np.ndarray, list]:
+        """P and the groups, or a RuntimeError once ``graph`` has let them go."""
+        if self.groups is None:
+            raise RuntimeError("this BallStage was used up by graph(); run ball_stage again")
+        return self.P, self.groups
+
     def build_pairs(self) -> int:
         """The dot products ``graph`` multiplies: a block of rows start..
         of a group takes the group's columns from row start on."""
-        total = 0
-        for (lo, hi, at), step in zip(self.groups, _steps(self.groups)):
+        total, groups = 0, self._parts()[1]
+        for (lo, hi, at), step in zip(groups, _steps(groups)):
             starts = np.arange(0, hi - lo, step)
             total += int((np.minimum(step, hi - lo - starts) * (at.size - starts)).sum())
         return total
@@ -285,10 +291,11 @@ class BallStage:
         ``at``, and the rows of every earlier ball whose ``at`` holds one
         of the group's rows. ``RowSource`` multiplies a block of the
         group's rows against them, or against fewer."""
-        sizes = np.array([hi - lo for lo, hi, _ in self.groups])
+        groups = self._parts()[1]
+        sizes = np.array([hi - lo for lo, hi, _ in groups])
         group_of = np.repeat(np.arange(sizes.size), sizes)
         total = 0
-        for (lo, hi, at), n in zip(self.groups, sizes.tolist()):
+        for (lo, hi, at), n in zip(groups, sizes.tolist()):
             later = group_of[at[n:]]  # ascending, as at is
             reached = later[np.diff(later, prepend=-1) > 0]  # the groups whose rows at holds
             total += n * (at.size + int(sizes[reached].sum()))
@@ -299,7 +306,8 @@ class BallStage:
         the groups, then the CSR assembled band by band. It uses the stage
         up: P and the groups are let go before the assembly, which holds
         the records and the CSR."""
-        m, P, groups, self.P, self.groups = self.m, self.P, self.groups, None, None
+        (P, groups), m = self._parts(), self.m
+        self.P = self.groups = None
         segments, bands, degree = _upper_edges(self.order, P, groups, self.floor)
         del P, groups
         indptr = np.zeros(m + 1, dtype=np.int64)
@@ -360,15 +368,17 @@ class RowSource:
         self.stage, self.tau, self.m = stage, stage.tau, stage.m
         self.rank = np.empty(self.m, dtype=np.intp)  # each row's position in P
         self.rank[stage.order] = np.arange(self.m)
-        sizes = [hi - lo for lo, hi, _ in stage.groups]
+        groups = stage._parts()[1]
+        sizes = [hi - lo for lo, hi, _ in groups]
         self.group_of = np.repeat(np.arange(len(sizes)), sizes)  # each position's group
         self.near = np.zeros((len(sizes), self.m), dtype=bool)  # near[b, p]: ball b's at holds p
-        for b, (lo, hi, at) in enumerate(stage.groups):
+        for b, (lo, hi, at) in enumerate(groups):
             self.near[b, at[hi - lo:]] = True
         self.rows = self.edges = self.pairs = 0
 
     def __call__(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
         s = self.stage
+        P, groups = s._parts()
         ids = np.asarray(ids, dtype=np.intp)
         pos = self.rank[ids]
         group = self.group_of[pos]
@@ -376,17 +386,17 @@ class RowSource:
         for g in np.unique(group).tolist():
             block = np.flatnonzero(group == g)
             rows = pos[block]
-            lo, hi, at = s.groups[g]
+            lo, hi, at = groups[g]
             reach = np.flatnonzero(self.near[:g, rows].any(axis=1)).tolist()
-            ranges = [s.groups[b][:2] for b in reach]
+            ranges = [groups[b][:2] for b in reach]
             cols = np.concatenate([at] + [np.arange(a, z) for a, z in ranges])
             owner = np.repeat([-1] + reach, [at.size] + [z - a for a, z in ranges])  # -1: at's
-            X = s.P[lo:hi] if cols.size == hi - lo else s.P[cols]  # own rows alone: a view
+            X = P[lo:hi] if cols.size == hi - lo else P[cols]  # own rows alone: a view
             step = max(1, _BLOCK_BYTES // (8 * cols.size))
             buf = np.empty(min(step, rows.size) * cols.size)
             for start in range(0, rows.size, step):
                 part = rows[start:start + step]
-                flat, w32 = edge_weights(_cosines(s.P[part], X, buf), part, cols, s.P, s.floor)
+                flat, w32 = edge_weights(_cosines(P[part], X, buf), part, cols, P, s.floor)
                 r, c = divmod(flat, cols.size)
                 b = owner[c]
                 keep = b < 0

@@ -685,3 +685,66 @@ class TestRowsOnDemand:
         assert not pruner.rows_pay(stage, SelectionConfig(budget=200, tau=0.9, rule="lazy"))
         assert not pruner.rows_pay(stage, SelectionConfig(budget=1000, tau=0.9))
         assert not pruner.rows_pay(stage, SelectionConfig(budget=10 ** 6, tau=0.9))
+
+
+class TestStreamingPaths:
+    """``select_streaming`` runs the similarity scan below
+    ``_STREAM_ROWS_FROM`` picks and rows on demand from it on; on the rows
+    path it returns ``select``'s result on the built graph, bit for bit."""
+
+    @staticmethod
+    def paths_taken(monkeypatch):
+        taken, scan, source = [], pruner._similarity_scan, pruner.RowSource
+
+        def scanning(*args):
+            taken.append("scan")
+            return scan(*args)
+
+        def rows(stage):
+            taken.append("rows")
+            return source(stage)
+        monkeypatch.setattr(pruner, "_similarity_scan", scanning)
+        monkeypatch.setattr(pruner, "RowSource", rows)
+        return taken
+
+    INSTANCES = [
+        ("clustered", lambda: oracle.random_instance(3, m=600, d=16, c=5, cluster_spread=0.1,
+                                                     noise_fraction=0.2)[:2], 100, 0.9),
+        ("no-balls", lambda: (random_unit_rows(np.random.default_rng(5), 300, 32),
+                              ConfidenceVector(np.random.default_rng(6).uniform(0, 1, 300))),
+         60, 0.3),
+        ("budget-over-m", lambda: oracle.random_instance(1, m=40, d=8, c=3,
+                                                         cluster_spread=0.1)[:2], 50, 0.9),
+        ("boundary-pair", lambda: (boundary_pair(0.9), ConfidenceVector([0.9, 0.5])), 2, 0.9),
+    ]
+
+    @pytest.mark.parametrize("name,make,budget,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_rows_path_equals_select_on_the_graph(self, monkeypatch, name, make, budget, tau):
+        monkeypatch.setattr(pruner, "_STREAM_ROWS_FROM", 1)
+        taken = self.paths_taken(monkeypatch)
+        E, C = make()
+        if name == "no-balls":
+            assert len(simgraph.ball_stage(E, tau).groups) == 1, "precondition"
+        cfg = SelectionConfig(budget=budget, tau=tau)
+        streamed = select_streaming(E, C, cfg)
+        assert taken == ["rows"]
+        same_result(streamed, select(build_graph(E, tau), C, None, cfg))
+        assert any("clamped" in w for w in streamed.warnings) == (budget > E.m)
+
+    def test_rows_path_at_the_cut_equals_select_on_the_graph(self):
+        E, C, _, _ = oracle.random_instance(2, m=1500, d=16, c=10, cluster_spread=0.1,
+                                            noise_fraction=0.2)
+        cfg = SelectionConfig(budget=pruner._STREAM_ROWS_FROM, tau=0.8)
+        same_result(select_streaming(E, C, cfg), select(build_graph(E, 0.8), C, None, cfg))
+
+    def test_each_path_on_its_own_side_of_the_cut(self, monkeypatch):
+        taken = self.paths_taken(monkeypatch)
+        cut = pruner._STREAM_ROWS_FROM
+        big = oracle.random_instance(0, m=cut + 50, d=8, c=5, cluster_spread=0.1)[:2]
+        small = oracle.random_instance(0, m=cut - 1, d=8, c=5, cluster_spread=0.1)[:2]
+        for (E, C), budget, path in ((big, cut - 1, "scan"), (big, cut, "rows"),
+                                     (big, 5 * cut, "rows"), (small, 5 * cut, "scan")):
+            taken.clear()
+            r = select_streaming(E, C, SelectionConfig(budget=budget, tau=0.9))
+            assert taken == [path], (E.m, budget)
+            assert len(r.order) == min(budget, E.m)

@@ -848,3 +848,15 @@ class TestRowSource:
         assert all(8 * a * b <= cap for a, b in scored)
         # the gathered columns and their ids (O(m d)), then the blocks
         assert peak < (8 * d + 24) * m + 3 * cap, f"{peak} bytes"
+
+    def test_a_used_up_stage_says_so(self):
+        # graph() lets P and the groups go; every later use is refused by name
+        E = clustered(1, m=60)
+        stage = simgraph.ball_stage(E, 0.9)
+        source = simgraph.RowSource(stage)
+        stage.graph()
+        uses = [stage.build_pairs, stage.row_pairs, stage.graph,
+                lambda: simgraph.RowSource(stage), lambda: source([0])]
+        for use in uses:
+            with pytest.raises(RuntimeError, match="used up by graph"):
+                use()

@@ -9,7 +9,11 @@ instances and digests, on each:
 - the graph cache that `simgraph.save_graph` writes;
 - `select` under each rule (surrogate, exact, lazy), with and without class
   balancing;
-- `select_streaming` at the graph's tau;
+- `select_streaming` at the graph's tau, at a budget of m / 10, which runs
+  the similarity scan, and at m / 2, at or above
+  `pruner._STREAM_ROWS_FROM` on every instance, which runs the rows the
+  picks need (a tree from before that cut runs the scan there too, so
+  comparing it with a later tree compares the two paths case by case);
 - `relpick select` from files, with no graph cache, with and without class
   balancing, through `cli.main`, at a budget of m / 20: small enough that
   the rows the picks need are computed on demand rather than the whole
@@ -69,6 +73,8 @@ def digests() -> dict:
                            pruner.select(G, C, labels if balanced else None, cfg))
             record(f"{key} streaming",
                    pruner.select_streaming(E, C, SelectionConfig(budget=m // 10, tau=TAU)))
+            record(f"{key} streaming m/2",
+                   pruner.select_streaming(E, C, SelectionConfig(budget=m // 2, tau=TAU)))
             files = [Path(tmp) / name for name in ("e.bin", "c.txt", "l.txt", "r.json")]
             dataspec.write_matrix_binary(files[0], E.data)
             dataspec.write_vector_text(files[1], C.values)
