@@ -115,10 +115,9 @@ def cmd_select(args) -> int:
     else:  # one ball stage; then the rows the picks need, or the whole graph
         stage = simgraph.ball_stage(E, cfg.tau)
         if pruner.rows_pay(stage, cfg):
-            rows = simgraph.RowSource(stage)
-            result = replace(pruner.select_rows(rows, C, labels, cfg), graph={
-                "source": "rows", "tau": rows.tau, "rows": rows.rows, "edges": rows.edges,
-                "pairs": rows.pairs})
+            result = replace(pruner.select_rows(stage, C, labels, cfg), graph={
+                "source": "rows", "tau": stage.tau, "rows": stage.rows, "edges": stage.edges,
+                "pairs": stage.pairs})
         else:
             pairs = stage.build_pairs()
             G = stage.graph()

@@ -31,14 +31,15 @@ temporaries stay bounded whatever m. A surrogate step costs a refresh
 over the pick's neighbors plus one O(m) argmax; the similarity scan's
 update is dense, so its step stays O(m d), the same at every step. On
 rows computed on demand the steps are uneven: the step whose pick has
-no row yet makes one ``RowSource`` call for _PREFETCH_ROWS rows and
+no row yet makes one call of the ball stage for _PREFETCH_ROWS rows and
 carries the work of the steps after it.
 
-``select_rows`` runs the surrogate rule, plain or balanced, on a
-``simgraph.RowSource``. A surrogate step reads the pick's row alone, and
-the policy keeps every self gain exact, so ``_rows_on_demand`` computes a
-row only when it is picked, together with the _PREFETCH_ROWS - 1 rows of
-highest gain that have none (one source call), and drops it once picked.
+``select_rows`` runs the surrogate rule, plain or balanced, on the rows
+that a ``simgraph.BallStage`` computes on demand. A surrogate step reads
+the pick's row alone, and the policy keeps every self gain exact, so
+``_rows_on_demand`` computes a row only when it is picked, together with
+the _PREFETCH_ROWS - 1 rows of highest gain that have none (one stage
+call), and drops it once picked.
 The rows equal ``build_graph``'s, so the order, gains, trace, config and
 warnings equal ``select``'s on the built graph, bit for bit.
 ``rows_pay`` takes that path when the budget times
@@ -85,13 +86,12 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import (BallStage, NeighborGraph, RowSource, ball_stage, edge_floor, edge_weights,
-                       unit_rows)
+from .simgraph import BallStage, NeighborGraph, ball_stage, edge_floor, edge_weights, unit_rows
 
 _ALL = slice(None)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
 _FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
-_PREFETCH_ROWS = 256  # rows per ``RowSource`` call of ``_rows_on_demand``
+_PREFETCH_ROWS = 256  # rows per ``BallStage`` call of ``_rows_on_demand``
 _ROWS_SHARE = 0.25  # ``rows_pay``'s cut, see the module docstring
 _STREAM_ROWS_FROM = 4 * _PREFETCH_ROWS  # budgets ``select_streaming`` runs on rows
 
@@ -320,10 +320,10 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
     return update
 
 
-def _rows_on_demand(source: RowSource, conf: np.ndarray, gains: np.ndarray):
-    """Rows from ``source`` as the picks need them: when the pick has no
+def _rows_on_demand(stage: BallStage, conf: np.ndarray, gains: np.ndarray):
+    """Rows from ``stage`` as the picks need them: when the pick has no
     row yet, it is computed with the _PREFETCH_ROWS - 1 rows of highest
-    gain in ``gains`` (``_best_of``'s) that have none, in one ``source``
+    gain in ``gains`` (``_best_of``'s) that have none, in one ``stage``
     call. A row is kept until it is picked."""
     held, asked = {}, np.zeros(len(conf), dtype=bool)
 
@@ -335,7 +335,7 @@ def _rows_on_demand(source: RowSource, conf: np.ndarray, gains: np.ndarray):
             top = np.argpartition(-free, k)[:k]  # the k highest
             ids = np.append(top[free[top] > -np.inf], x)
             asked[ids] = True
-            held.update(zip(ids.tolist(), source(ids)))
+            held.update(zip(ids.tolist(), stage(ids)))
         js, ws = held.pop(x)
         inc = ws.astype(np.float64) * conf[x]
         cn[js] += inc
@@ -416,29 +416,30 @@ def select(
 
 
 def rows_pay(stage: BallStage, cfg: SelectionConfig) -> bool:
-    """Whether ``select_rows`` on a ``RowSource`` of ``stage`` is the
-    cheaper way to run ``cfg``: the surrogate rule, and the candidate
-    pairs of as many rows as the budget below _ROWS_SHARE of the pairs
-    that building the whole graph multiplies."""
+    """Whether ``select_rows`` on ``stage`` is the cheaper way to run
+    ``cfg``: the surrogate rule, and the candidate pairs of as many rows
+    as the budget below _ROWS_SHARE of the pairs that building the whole
+    graph multiplies."""
     budget = min(cfg.budget, stage.m)
     return (cfg.rule == "surrogate"
             and budget * stage.row_pairs() < _ROWS_SHARE * stage.build_pairs())
 
 
-def select_rows(source: RowSource, C: ConfidenceVector, labels: LabelVector | None,
+def select_rows(stage: BallStage, C: ConfidenceVector, labels: LabelVector | None,
                 cfg: SelectionConfig) -> SelectionResult:
-    """Surrogate selection, plain or balanced, on graph rows computed as
-    the picks need them (``_rows_on_demand``): the same result as
-    ``select`` on ``build_graph`` at ``source``'s tau, bit for bit. A
-    surrogate step reads the pick's row alone, and ``_best_of`` keeps
-    every self gain exact, so no other row is needed."""
+    """Surrogate selection, plain or balanced, on graph rows that ``stage``
+    computes as the picks need them (``_rows_on_demand``): the same result
+    as ``select`` on ``stage.graph()``, bit for bit, and ``stage`` counts
+    the rows, edges and pairs. A surrogate step reads the pick's row alone,
+    and ``_best_of`` keeps every self gain exact, so no other row is
+    needed."""
     if cfg.rule != "surrogate":
         raise ConfigError("rows on demand serve only the surrogate rule")
-    check_inputs(source.m, C, labels, cfg)
-    cfg = replace(cfg, tau=source.tau)
+    check_inputs(stage.m, C, labels, cfg)
+    cfg = replace(cfg, tau=stage.tau)
     u = utility_from_config(cfg)
-    pick = _best_of(_self_gains(C.values, u), source.m)
-    return _run(source.m, cfg, u, labels, pick, _rows_on_demand(source, C.values, pick.gains))
+    pick = _best_of(_self_gains(C.values, u), stage.m)
+    return _run(stage.m, cfg, u, labels, pick, _rows_on_demand(stage, C.values, pick.gains))
 
 
 def _run(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None, pick,
@@ -455,9 +456,9 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
     """Graph-free surrogate selection: the same order as rule='surrogate'
     on ``build_graph(E, cfg.tau)``, with no whole graph built. A budget,
     clamped to m, of at least _STREAM_ROWS_FROM (1,024) runs
-    ``select_rows`` on a ``RowSource`` of one ``ball_stage``, which
-    returns ``select``'s result on that graph bit for bit and computes
-    only the rows the picks need, in batches of _PREFETCH_ROWS. A smaller
+    ``select_rows`` on one ``ball_stage``, which returns ``select``'s
+    result on that graph bit for bit and computes only the rows the picks
+    need, in batches of _PREFETCH_ROWS. A smaller
     budget runs the similarity scan: each pick rescans the similarities
     to the chosen example (one gemv, O(m d) per step) with a dense
     update, so every step costs the same; criterion 8's scaling bench
@@ -480,7 +481,7 @@ def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionR
         raise ConfigError("streaming selection supports only the plain surrogate rule")
     check_inputs(E.m, C)
     if min(cfg.budget, E.m) >= _STREAM_ROWS_FROM:
-        return select_rows(RowSource(ball_stage(E, cfg.tau)), C, None, cfg)
+        return select_rows(ball_stage(E, cfg.tau), C, None, cfg)
     u = utility_from_config(cfg)
     update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
     return _greedy(E.m, cfg, u, None, _best_of(_self_gains(C.values, u), E.m), update)

@@ -42,16 +42,18 @@ records (6 bytes per edge), the CSR (8 bytes per edge) and one band's
 temporaries; ``NeighborGraph.validate`` holds O(m) arrays and one band's
 temporaries beside the graph. Stored weights always lie in [tau, 1].
 
-``ball_stage`` runs the ball stage once; ``BallStage.graph`` builds the
-graph from it, and ``RowSource`` computes any rows of that graph without
-the others. The build scores a pair from one side, the group of its
-earlier row in the ball order, and mirrors it. A row on demand takes
-both sides: its group's columns, and the rows of every earlier ball
-whose columns hold it. ``edge_weights`` gives a pair the same edge and
-weight in any block layout, so these rows equal the graph's, byte for
-byte. Before any product, ``BallStage.build_pairs`` counts the dot
-products of the build and ``BallStage.row_pairs`` those of a row on
-demand, on the mean; ``pruner.rows_pay`` compares the two.
+``ball_stage`` runs the ball stage once, and the ``BallStage`` it returns
+keeps the balls' reach test. ``BallStage.graph`` builds the graph from
+it, and a call of the stage computes any rows of that graph without the
+others. The build scores a pair from one side, the group of its earlier
+row in the ball order, and mirrors it. A row on demand takes both sides:
+its group's columns, and the rows of every earlier ball that reaches it.
+``edge_weights`` gives a pair the same edge and weight in any block
+layout, so these rows equal the graph's, byte for byte. Before any
+product, ``BallStage.build_pairs`` counts the dot products of the build
+and ``BallStage.row_pairs`` those of a row on demand, on the mean;
+``pruner.rows_pay`` compares the two. The build and the rows on demand
+take their rows per block of cosines from one rule, ``_rows_per_block``.
 
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
 in the cache, so m must stay below 2^31. Row offsets are int64.
@@ -257,15 +259,39 @@ def build_graph(E: EmbeddingMatrix, tau: float) -> NeighborGraph:
 @dataclass
 class BallStage:
     """The ball stage of one (E, tau), from ``_balls``: the order that lists
-    the rows ball by ball, the rows P = U[order] and each group's (lo, hi,
-    at). ``graph`` builds every row from it, once, and ``RowSource`` any
-    rows."""
+    the rows ball by ball, the rows P = U[order], each group's (lo, hi, at)
+    and the balls' reach ``near``. ``graph`` builds every row from it,
+    once, and a call with ids computes any rows without the others.
+
+    A call returns, per id, what the graph's ``neighbors`` gives, the
+    columns ascending (intp) and the float32 weights, self-loop included.
+    A row holds the pairs that the build scores for it from either side:
+    a row in group g is multiplied against g's columns ``at`` (the build's
+    own side) and against the rows of every earlier ball whose ``at``
+    holds it (the side the build mirrors, ``_reach``). The requested rows
+    of one group are one block: the group's columns and the rows of the
+    earlier balls that reach any of the block's rows, in sub-blocks of
+    ``_rows_per_block`` rows. ``edge_weights`` scores them, and pairs of a
+    ball that does not reach their row are dropped, so a row holds the
+    same edges and weights as the graph's. ``rows``, ``edges`` and
+    ``pairs`` count the rows computed, their stored entries and the dot
+    products multiplied."""
 
     tau: float
     floor: float
     order: np.ndarray
     P: np.ndarray | None
     groups: list | None
+    near: np.ndarray | None  # near[b, p]: ball b reaches position p; read only past ball b
+    rows: int = 0
+    edges: int = 0
+    pairs: int = 0
+
+    def __post_init__(self):
+        self.rank = np.empty(self.m, dtype=np.intp)  # each row's position in P
+        self.rank[self.order] = np.arange(self.m)
+        sizes = [hi - lo for lo, hi, _ in self.groups]
+        self.group_of = np.repeat(np.arange(len(sizes)), sizes)  # each position's group
 
     @property
     def m(self) -> int:
@@ -277,11 +303,17 @@ class BallStage:
             raise RuntimeError("this BallStage was used up by graph(); run ball_stage again")
         return self.P, self.groups
 
+    def _reach(self, g: int, rows) -> list[int]:
+        """The earlier balls whose ``at`` holds one of the positions ``rows``
+        of group g."""
+        return np.flatnonzero(self.near[:g, rows].any(axis=1)).tolist()
+
     def build_pairs(self) -> int:
         """The dot products ``graph`` multiplies: a block of rows start..
         of a group takes the group's columns from row start on."""
-        total, groups = 0, self._parts()[1]
-        for (lo, hi, at), step in zip(groups, _steps(groups)):
+        total = 0
+        for lo, hi, at in self._parts()[1]:
+            step = _rows_per_block(at.size)
             starts = np.arange(0, hi - lo, step)
             total += int((np.minimum(step, hi - lo - starts) * (at.size - starts)).sum())
         return total
@@ -289,26 +321,61 @@ class BallStage:
     def row_pairs(self) -> float:
         """The mean, over the rows, of the columns of the row's group: its
         ``at``, and the rows of every earlier ball whose ``at`` holds one
-        of the group's rows. ``RowSource`` multiplies a block of the
-        group's rows against them, or against fewer."""
+        of the group's rows. A call multiplies a block of the group's rows
+        against them, or against fewer."""
         groups = self._parts()[1]
-        sizes = np.array([hi - lo for lo, hi, _ in groups])
-        group_of = np.repeat(np.arange(sizes.size), sizes)
         total = 0
-        for (lo, hi, at), n in zip(groups, sizes.tolist()):
-            later = group_of[at[n:]]  # ascending, as at is
-            reached = later[np.diff(later, prepend=-1) > 0]  # the groups whose rows at holds
-            total += n * (at.size + int(sizes[reached].sum()))
+        for g, (lo, hi, at) in enumerate(groups):
+            reach = sum(groups[b][1] - groups[b][0] for b in self._reach(g, slice(lo, hi)))
+            total += (hi - lo) * (at.size + reach)
         return total / self.m
+
+    def __call__(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The graph's rows ``ids``, computed on demand (see above)."""
+        P, groups = self._parts()
+        ids = np.asarray(ids, dtype=np.intp)
+        pos = self.rank[ids]
+        group = self.group_of[pos]
+        out = [None] * ids.size
+        for g in np.unique(group).tolist():
+            block = np.flatnonzero(group == g)
+            rows = pos[block]
+            lo, hi, at = groups[g]
+            reach = self._reach(g, rows)
+            ranges = [groups[b][:2] for b in reach]
+            cols = np.concatenate([at] + [np.arange(a, z) for a, z in ranges])
+            owner = np.repeat([-1] + reach, [at.size] + [z - a for a, z in ranges])  # -1: at's
+            X = P[lo:hi] if cols.size == hi - lo else P[cols]  # own rows alone: a view
+            step = _rows_per_block(cols.size)
+            buf = np.empty(min(step, rows.size) * cols.size)
+            for start in range(0, rows.size, step):
+                part = rows[start:start + step]
+                flat, w32 = edge_weights(_cosines(P[part], X, buf), part, cols, P, self.floor)
+                r, c = divmod(flat, cols.size)
+                b = owner[c]
+                keep = b < 0
+                mirror = ~keep
+                keep[mirror] = self.near[b[mirror], part[r[mirror]]]
+                r, j, w32 = r[keep], self.order[cols[c[keep]]].astype(np.intp), w32[keep]
+                by_row = np.argsort(r * self.m + j)
+                r, j, w32 = r[by_row], j[by_row], w32[by_row]
+                cuts = np.cumsum(np.bincount(r, minlength=part.size))[:-1]
+                for k, js, ws in zip(block[start:start + step].tolist(), np.split(j, cuts),
+                                     np.split(w32, cuts)):
+                    out[k] = (js, ws)
+                self.pairs += part.size * cols.size
+                self.edges += j.size
+        self.rows += ids.size
+        return out
 
     def graph(self) -> NeighborGraph:
         """The graph ``build_graph`` returns: every row, in one walk over
         the groups, then the CSR assembled band by band. It uses the stage
-        up: P and the groups are let go before the assembly, which holds
-        the records and the CSR."""
-        (P, groups), m = self._parts(), self.m
-        self.P = self.groups = None
-        segments, bands, degree = _upper_edges(self.order, P, groups, self.floor)
+        up: the reach is let go before the products, P and the groups
+        before the assembly, which holds the records and the CSR."""
+        (P, groups), m, pairs = self._parts(), self.m, self.build_pairs()
+        self.P = self.groups = self.near = None
+        segments, bands, degree = _upper_edges(self.order, P, groups, self.floor, pairs)
         del P, groups
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(degree, out=indptr[1:])
@@ -339,91 +406,24 @@ class BallStage:
 
 
 def ball_stage(E: EmbeddingMatrix, tau: float) -> BallStage:
-    """The ball stage that ``build_graph`` and ``RowSource`` start from."""
+    """The ball stage that ``build_graph`` and the rows on demand start from."""
     if not (0.0 < tau <= 1.0):
         raise ConfigError(f"tau must lie in (0, 1], got {tau}")
     floor = edge_floor(tau)
     return BallStage(float(tau), floor, *_balls(unit_rows(E), floor))
 
 
-class RowSource:
-    """Rows of the graph that ``build_graph`` returns, computed on demand:
-    a call with ids returns, per id, what the graph's ``neighbors`` gives,
-    the columns ascending (intp) and the float32 weights, self-loop
-    included.
-
-    A row holds the pairs that the build scores for it from either side:
-    a row in group g is multiplied against g's columns ``at`` (the
-    build's own side) and against the rows of every earlier ball whose
-    ``at`` holds it (the side the build mirrors). The requested rows of
-    one group are one block: the group's columns and the rows of the
-    earlier balls that reach any of the block's rows, in sub-blocks of at
-    most _BLOCK_BYTES of cosines (or one row). ``edge_weights`` scores
-    them, and pairs of a ball that does not reach their row are dropped,
-    so a row holds the same edges and weights as the graph's. ``rows``,
-    ``edges`` and ``pairs`` count the rows computed, their stored
-    entries and the dot products multiplied."""
-
-    def __init__(self, stage: BallStage):
-        self.stage, self.tau, self.m = stage, stage.tau, stage.m
-        self.rank = np.empty(self.m, dtype=np.intp)  # each row's position in P
-        self.rank[stage.order] = np.arange(self.m)
-        groups = stage._parts()[1]
-        sizes = [hi - lo for lo, hi, _ in groups]
-        self.group_of = np.repeat(np.arange(len(sizes)), sizes)  # each position's group
-        self.near = np.zeros((len(sizes), self.m), dtype=bool)  # near[b, p]: ball b's at holds p
-        for b, (lo, hi, at) in enumerate(groups):
-            self.near[b, at[hi - lo:]] = True
-        self.rows = self.edges = self.pairs = 0
-
-    def __call__(self, ids) -> list[tuple[np.ndarray, np.ndarray]]:
-        s = self.stage
-        P, groups = s._parts()
-        ids = np.asarray(ids, dtype=np.intp)
-        pos = self.rank[ids]
-        group = self.group_of[pos]
-        out = [None] * ids.size
-        for g in np.unique(group).tolist():
-            block = np.flatnonzero(group == g)
-            rows = pos[block]
-            lo, hi, at = groups[g]
-            reach = np.flatnonzero(self.near[:g, rows].any(axis=1)).tolist()
-            ranges = [groups[b][:2] for b in reach]
-            cols = np.concatenate([at] + [np.arange(a, z) for a, z in ranges])
-            owner = np.repeat([-1] + reach, [at.size] + [z - a for a, z in ranges])  # -1: at's
-            X = P[lo:hi] if cols.size == hi - lo else P[cols]  # own rows alone: a view
-            step = max(1, _BLOCK_BYTES // (8 * cols.size))
-            buf = np.empty(min(step, rows.size) * cols.size)
-            for start in range(0, rows.size, step):
-                part = rows[start:start + step]
-                flat, w32 = edge_weights(_cosines(P[part], X, buf), part, cols, P, s.floor)
-                r, c = divmod(flat, cols.size)
-                b = owner[c]
-                keep = b < 0
-                mirror = ~keep
-                keep[mirror] = self.near[b[mirror], part[r[mirror]]]
-                r, j, w32 = r[keep], s.order[cols[c[keep]]].astype(np.intp), w32[keep]
-                by_row = np.argsort(r * self.m + j)
-                r, j, w32 = r[by_row], j[by_row], w32[by_row]
-                cuts = np.cumsum(np.bincount(r, minlength=part.size))[:-1]
-                for k, js, ws in zip(block[start:start + step].tolist(), np.split(j, cuts),
-                                     np.split(w32, cuts)):
-                    out[k] = (js, ws)
-                self.pairs += part.size * cols.size
-                self.edges += j.size
-        self.rows += ids.size
-        return out
-
-
-def _upper_edges(perm: np.ndarray, P: np.ndarray, groups: list,
-                 floor: float) -> tuple[list, list, np.ndarray]:
+def _upper_edges(perm: np.ndarray, P: np.ndarray, groups: list, floor: float,
+                 pairs: int) -> tuple[list, list, np.ndarray]:
     """The edges (i, j) with i <= j, the self-loops included, and each row's
     degree. The edges are (i, j, float32 weight bits) int32 records in
     segments, in no set order; bands[b] lists the (segment, start, stop)
     runs that hold the records with i in band b (rows b * _BAND_ROWS on).
     Each group's rows, in the ball-ordered rows P, are multiplied in blocks
-    against the group's columns; each block keeps its upper triangle."""
-    m, steps = len(P), _steps(groups)
+    against the group's columns; each block keeps its upper triangle, at
+    most the pairs it multiplies, so the build's ``pairs`` bound the
+    records."""
+    m, steps = len(P), [_rows_per_block(at.size) for _, _, at in groups]
     buf = np.empty(max(min(step, hi - lo) * at.size for (lo, hi, at), step in zip(groups, steps)))
     rule = partial(edge_weights, U=P, floor=floor)
     bands = [[] for _ in range(0, m, _BAND_ROWS)]
@@ -432,7 +432,7 @@ def _upper_edges(perm: np.ndarray, P: np.ndarray, groups: list,
     # segment, and the bands note their runs as plain ints: arrays or views
     # kept per block would be allocated among the blocks' freed temporaries
     # and keep that memory from the system until the build ends.
-    seg = max(1, min(m * (m + 1) // 2, _SEGMENT_BYTES // 12))
+    seg = max(1, min(m * (m + 1) // 2, pairs, _SEGMENT_BYTES // 12))
     segments, n = [np.empty((seg, 3), np.int32)], 0
     for (lo, hi, at), step in zip(groups, steps):
         X = P[at]
@@ -461,10 +461,11 @@ def _upper_edges(perm: np.ndarray, P: np.ndarray, groups: list,
     return segments, bands, degree
 
 
-def _steps(groups: list) -> list[int]:
-    """Rows per build block of each group: at most _BLOCK_BYTES of cosines,
-    or one row."""
-    return [max(1, _BLOCK_BYTES // (8 * at.size)) for _, _, at in groups]
+def _rows_per_block(columns: int) -> int:
+    """Rows per block of cosines against ``columns`` columns, in the build
+    and in the rows on demand: at most _BLOCK_BYTES of cosines, or one
+    row."""
+    return max(1, _BLOCK_BYTES // (8 * columns))
 
 
 def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -472,7 +473,7 @@ def _cosines(A: np.ndarray, B: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.matmul(A, B.T, out=buf[:len(A) * len(B)].reshape(len(A), len(B)))
 
 
-def _balls(U: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, list]:
+def _balls(U: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, list, np.ndarray]:
     """Leader clustering in index order, in blocks of _SCAN_ROWS rows: a row
     with no leader within _BALL_ANGLE becomes one, until there are
     _MAX_LEADERS, and every row joins its nearest leader within that angle.
@@ -486,7 +487,9 @@ def _balls(U: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, list]:
     radius (the widest member angle) plus arccos(floor - band), the widest
     angle of an edge, plus a slack of _ANGLE_SLACK + 4 sqrt(band): arccos
     turns a cosine error e into an angle error of at most sqrt(2e). The
-    triangle inequality on the sphere rules out every other pair."""
+    triangle inequality on the sphere rules out every other pair. The
+    fourth value is that reach test, near[b, p] for ball b and position p:
+    past ball b (p >= hi) it holds exactly when ``at`` holds p."""
     m, d = U.shape
     cos_r0 = math.cos(_BALL_ANGLE)
     leaders = []
@@ -519,14 +522,14 @@ def _balls(U: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray, list]:
                       for (lo, hi), centre in zip(balls, centres)])
     reach = radii + math.acos(floor - band) + _ANGLE_SLACK + 4 * math.sqrt(band)
     cos_reach = np.where(reach < math.pi, np.cos(np.minimum(reach, math.pi)), -np.inf)[:, None]
-    near = np.empty((n, m), dtype=bool)  # near[b, j]: row j may reach ball b
+    near = np.empty((n, m), dtype=bool)  # near[b, p]: position p may reach ball b
     for s in range(0, m, _SCAN_ROWS):
         np.greater_equal(centres @ P[s:s + _SCAN_ROWS].T, cos_reach, out=near[:, s:s + _SCAN_ROWS])
     groups = [(lo, hi, np.concatenate([np.arange(lo, hi), hi + np.flatnonzero(near[b, hi:])]))
               for b, (lo, hi) in enumerate(balls)]
     if bounds[-1] < m:
         groups.append((bounds[-1], m, np.arange(bounds[-1], m)))
-    return order, P, groups
+    return order, P, groups, near
 
 
 def _stable_order(keys: np.ndarray, m: int, order: np.ndarray | None = None) -> np.ndarray:

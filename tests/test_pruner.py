@@ -629,8 +629,8 @@ class TestRowsOnDemand:
     @staticmethod
     def both(E, C, labels, cfg):
         graphed = select(build_graph(E, cfg.tau), C, labels, cfg)
-        source = simgraph.RowSource(simgraph.ball_stage(E, cfg.tau))
-        return graphed, pruner.select_rows(source, C, labels, cfg), source
+        stage = simgraph.ball_stage(E, cfg.tau)
+        return graphed, pruner.select_rows(stage, C, labels, cfg), stage
 
     @pytest.mark.parametrize("prefetch", [1, 7, 256])
     @pytest.mark.parametrize("balanced", [False, True])
@@ -640,19 +640,19 @@ class TestRowsOnDemand:
         E, C, labels, _ = oracle.random_instance(4, m=700, d=16, c=5, cluster_spread=spread,
                                                  noise_fraction=0.2)
         cfg = SelectionConfig(budget=120, tau=tau, balanced=balanced)
-        graphed, rowed, source = self.both(E, C, labels if balanced else None, cfg)
+        graphed, rowed, stage = self.both(E, C, labels if balanced else None, cfg)
         same_result(graphed, rowed)
-        assert source.rows < E.m if prefetch < 256 else source.rows >= 120
+        assert stage.rows < E.m if prefetch < 256 else stage.rows >= 120
 
     @pytest.mark.parametrize("balanced", [False, True])
     def test_budget_over_population_is_clamped(self, balanced):
         E, C, labels, _ = oracle.random_instance(1, m=40, d=8, c=3, cluster_spread=0.1)
         cfg = SelectionConfig(budget=50, tau=0.9, balanced=balanced)
-        graphed, rowed, source = self.both(E, C, labels, cfg)
+        graphed, rowed, stage = self.both(E, C, labels, cfg)
         same_result(graphed, rowed)
         assert sorted(rowed.order) == list(range(40))
         assert any("clamped" in w for w in rowed.warnings)
-        assert (source.rows, source.edges) == (40, build_graph(E, 0.9).nnz)
+        assert (stage.rows, stage.edges) == (40, build_graph(E, 0.9).nnz)
 
     def test_zero_confidences(self):
         E = oracle.random_instance(2, m=300, d=8, c=3, cluster_spread=0.1)[0]
@@ -670,10 +670,10 @@ class TestRowsOnDemand:
 
     def test_exact_rules_refused(self, orthogonal3):
         E, C, _ = orthogonal3
-        source = simgraph.RowSource(simgraph.ball_stage(E, 0.5))
+        stage = simgraph.ball_stage(E, 0.5)
         for rule in ("exact", "lazy"):
             with pytest.raises(ConfigError):
-                pruner.select_rows(source, C, None, SelectionConfig(budget=1, rule=rule))
+                pruner.select_rows(stage, C, None, SelectionConfig(budget=1, rule=rule))
 
     def test_rows_pay_on_a_small_budget_and_the_surrogate_rule_only(self):
         # the candidate pairs of s rows against the build's: about 2 s / m
@@ -694,17 +694,17 @@ class TestStreamingPaths:
 
     @staticmethod
     def paths_taken(monkeypatch):
-        taken, scan, source = [], pruner._similarity_scan, pruner.RowSource
+        taken, scan, stage = [], pruner._similarity_scan, pruner.ball_stage
 
         def scanning(*args):
             taken.append("scan")
             return scan(*args)
 
-        def rows(stage):
+        def rows(*args):
             taken.append("rows")
-            return source(stage)
+            return stage(*args)
         monkeypatch.setattr(pruner, "_similarity_scan", scanning)
-        monkeypatch.setattr(pruner, "RowSource", rows)
+        monkeypatch.setattr(pruner, "ball_stage", rows)
         return taken
 
     INSTANCES = [

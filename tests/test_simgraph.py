@@ -647,7 +647,7 @@ class TestPrunedBuild:
             [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
             [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
         U = unit_rows(E)
-        order, P, groups = simgraph._balls(U, edge_floor(0.6))
+        order, P, groups, _ = simgraph._balls(U, edge_floor(0.6))
         assert order.tolist() == [0, 2, 5, 1, 4, 3, 6]
         assert np.array_equal(P, U[order])
         assert [(lo, hi, at.tolist()) for lo, hi, at in groups] == [
@@ -657,7 +657,7 @@ class TestPrunedBuild:
     @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
     def test_balls_tile_the_rows_in_index_order(self, name, make, tau):
         U = unit_rows(make())
-        order, P, groups = simgraph._balls(U, edge_floor(tau))
+        order, P, groups, _ = simgraph._balls(U, edge_floor(tau))
         assert np.array_equal(P, U[order])
         assert sorted(order.tolist()) == list(range(len(U)))
         assert [lo for lo, _, _ in groups] == [0] + [hi for _, hi, _ in groups[:-1]]
@@ -701,6 +701,24 @@ class TestPrunedBuild:
         assert G.nnz > 200 * G.m, "precondition: edges dominate the O(m) arrays"
         held = 12 * (G.nnz + G.m) // 2 + 8 * G.nnz
         assert peak < held + 2 * G.nnz, f"{(peak - held) / G.nnz:.2f} bytes per edge beside them"
+
+    def test_first_segment_holds_no_more_records_than_the_pairs(self):
+        # A block keeps at most the pairs it multiplies, so those bound the
+        # records, and the first segment is sized by them, not by the upper
+        # triangle (4.5M records, 54 MB, here): the peak stays within the
+        # pairs' records, two blocks and the CSR.
+        E = random_instance(0, m=3000, d=16, c=10, cluster_spread=0.1, noise_fraction=0.2)[0]
+        stage = simgraph.ball_stage(E, 0.9)
+        pairs = stage.build_pairs()
+        tracemalloc.start()
+        try:
+            G = stage.graph()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pairs < min(E.m * (E.m + 1) // 2, simgraph._SEGMENT_BYTES // 12), "precondition"
+        bound = 12 * pairs + 2 * simgraph._BLOCK_BYTES + 8 * G.nnz
+        assert peak < bound, f"{peak / 1e6:.1f} MB against {bound / 1e6:.1f} MB"
 
 
 def two_directions(m, seed=0, d=8):
@@ -754,8 +772,8 @@ def thousand_classes(seed=0, m=2000, d=16):
 
 
 class TestRowSource:
-    """``RowSource`` gives any rows of ``build_graph``'s graph, byte for
-    byte, from the ball stage alone."""
+    """A call of a ``BallStage`` gives any rows of ``build_graph``'s graph,
+    byte for byte, from the ball stage alone."""
 
     INSTANCES = [
         ("clustered", lambda: clustered(0), 0.9),
@@ -781,18 +799,17 @@ class TestRowSource:
         monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
         E = make()
         G = build_graph(E, tau)
-        source = simgraph.RowSource(simgraph.ball_stage(E, tau))
+        stage = simgraph.ball_stage(E, tau)
         if name == "loose":
-            stage = source.stage
             assert any(at.size > hi - lo for lo, hi, at in stage.groups[:-1]), "precondition"
         ids = np.random.default_rng(0).permutation(E.m)
         chunks = np.split(ids, [1, 4, 40, 41]) if E.m > 41 else [ids[:1], ids[1:]]
-        rows = [row for chunk in chunks for row in source(chunk)]
+        rows = [row for chunk in chunks for row in stage(chunk)]
         for i, (js, ws) in zip(ids.tolist(), rows):
             gj, gw = G.neighbors(i)
             assert js.dtype == gj.dtype and np.array_equal(js, gj), i
             assert ws.dtype == np.float32 and ws.tobytes() == gw.tobytes(), i
-        assert (source.rows, source.edges) == (E.m, G.nnz)
+        assert (stage.rows, stage.edges) == (E.m, G.nnz)
 
     @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
     def test_counts_are_the_pairs_multiplied(self, monkeypatch, name, make, tau):
@@ -804,11 +821,22 @@ class TestRowSource:
         assert sum(a * b for a, b in scored) == pairs
         scored.clear()
         stage = simgraph.ball_stage(E, tau)
-        source = simgraph.RowSource(stage)
-        source(np.arange(0, E.m, 3))
-        assert sum(a * b for a, b in scored) == source.pairs
+        stage(np.arange(0, E.m, 3))
+        assert sum(a * b for a, b in scored) == stage.pairs
         # a group's rows are multiplied against the group's columns at most
-        assert source.pairs <= stage.row_pairs() * E.m
+        assert stage.pairs <= stage.row_pairs() * E.m
+
+    @pytest.mark.parametrize("name,make,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
+    def test_rows_and_count_read_one_reach(self, name, make, tau):
+        # past ball b the reach test is the test of b's columns, and every
+        # group's rows asked for at once are multiplied against exactly the
+        # columns that row_pairs counts
+        stage = simgraph.ball_stage(make(), tau)
+        for b, (lo, hi, at) in enumerate(stage.groups[:len(stage.near)]):
+            assert np.array_equal(np.flatnonzero(stage.near[b, hi:]) + hi, at[hi - lo:]), b
+        mean = stage.row_pairs()
+        stage(np.arange(stage.m))
+        assert stage.pairs == round(mean * stage.m)
 
     def test_mirror_side_comes_from_earlier_balls(self):
         # the hand instance of test_balls_hand_each_group_its_columns: row 3,
@@ -820,12 +848,12 @@ class TestRowSource:
             [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
             [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
             [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
-        source = simgraph.RowSource(simgraph.ball_stage(E, 0.6))
+        stage = simgraph.ball_stage(E, 0.6)
         G = build_graph(E, 0.6)
-        js, ws = source([3])[0]
+        js, ws = stage([3])[0]
         assert js.tolist() == G.neighbors(3)[0].tolist() == [3, 4]
         assert ws.tobytes() == G.neighbors(3)[1].tobytes()
-        assert source.pairs == 2 + 2  # the loose rows 3 and 6, and ball e2's rows 1 and 4
+        assert stage.pairs == 2 + 2  # the loose rows 3 and 6, and ball e2's rows 1 and 4
 
     @pytest.mark.parametrize("m", [2000, 8000])
     def test_blocks_stay_within_the_cap_whatever_m(self, monkeypatch, m):
@@ -835,12 +863,12 @@ class TestRowSource:
         cap, d = 1 << 20, 64
         monkeypatch.setattr(simgraph, "_BLOCK_BYTES", cap)
         E = random_instance(1, m=m, d=d, c=4, noise_fraction=1.0)[0]
-        source = simgraph.RowSource(simgraph.ball_stage(E, 0.9))
-        assert len(source.stage.groups) == 1, "precondition"
+        stage = simgraph.ball_stage(E, 0.9)
+        assert len(stage.groups) == 1, "precondition"
         scored = self.count_pairs(monkeypatch)
         tracemalloc.start()
         try:
-            rows = source(np.arange(256))
+            rows = stage(np.arange(256))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -850,13 +878,11 @@ class TestRowSource:
         assert peak < (8 * d + 24) * m + 3 * cap, f"{peak} bytes"
 
     def test_a_used_up_stage_says_so(self):
-        # graph() lets P and the groups go; every later use is refused by name
+        # graph() lets P, the groups and the reach go; every later use is refused by name
         E = clustered(1, m=60)
         stage = simgraph.ball_stage(E, 0.9)
-        source = simgraph.RowSource(stage)
         stage.graph()
-        uses = [stage.build_pairs, stage.row_pairs, stage.graph,
-                lambda: simgraph.RowSource(stage), lambda: source([0])]
+        uses = [stage.build_pairs, stage.row_pairs, stage.graph, lambda: stage([0])]
         for use in uses:
             with pytest.raises(RuntimeError, match="used up by graph"):
                 use()

@@ -20,7 +20,7 @@ class TestPickDigests:
         assert time.perf_counter() - t0 < 30.0
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "0 of 33 cases differ"
+        assert lines[-1] == "0 of 36 cases differ"
         assert all(line.endswith("  same") for line in lines[:-1])
 
     def test_a_gain_one_ulp_off_is_a_difference(self, tmp_path):
@@ -33,5 +33,5 @@ class TestPickDigests:
         run = pick_digests(ROOT, tmp_path)
         assert run.returncode == 1, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "30 of 33 cases differ"
+        assert lines[-1] == "33 of 36 cases differ"
         assert all(line.endswith("  DIFF") != (" graph " in line) for line in lines[:-1])

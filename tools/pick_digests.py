@@ -14,14 +14,16 @@ instances and digests, on each:
   `pruner._STREAM_ROWS_FROM` on every instance, which runs the rows the
   picks need (a tree from before that cut runs the scan there too, so
   comparing it with a later tree compares the two paths case by case);
-- `relpick select` from files, with no graph cache, with and without class
-  balancing, through `cli.main`, at a budget of m / 20: small enough that
-  the rows the picks need are computed on demand rather than the whole
-  graph (see `pruner.rows_pay`).
+- `relpick select` from files, with no graph cache, through `cli.main`:
+  with and without class balancing at a budget of m / 20, small enough
+  that the rows the picks need are computed on demand, and without it at
+  m / 2, large enough that the whole graph is built (see
+  `pruner.rows_pay`).
 
 A selection's digest is a sha256 prefix of its (order, gains,
 objective_trace), the floats written by `repr`, which round-trips them
-exactly; a `relpick select` run's also covers its `config` and `warnings`.
+exactly; a `relpick select` run's also covers its `config`, `warnings`
+and `graph` block (the counts of the build or of the rows on demand).
 A cache's digest is one of its bytes.
 
 Prints one line per case with both trees' digests and "same" or "DIFF",
@@ -79,17 +81,17 @@ def digests() -> dict:
             dataspec.write_matrix_binary(files[0], E.data)
             dataspec.write_vector_text(files[1], C.values)
             dataspec.write_vector_text(files[2], labels.values)
-            for balanced in (False, True):
+            for name, budget, balanced in (("cli", m // 20, False), ("cli balanced", m // 20, True),
+                                           ("cli m/2", m // 2, False)):
                 argv = ["select", "--embeddings", str(files[0]), "--confidences", str(files[1]),
-                        "--budget", str(m // 20), "--tau", repr(TAU), "--out", str(files[3])]
+                        "--budget", str(budget), "--tau", repr(TAU), "--out", str(files[3])]
                 if balanced:
                     argv += ["--balanced", "--labels", str(files[2])]
                 if cli.main(argv) != 0:
                     raise SystemExit(f"relpick {' '.join(argv)} failed")
                 r = json.loads(files[3].read_text())
-                cases[f"{key} cli{' balanced' if balanced else ''}"] = _digest(repr(
-                    [r[k] for k in ("order", "gains", "objective_trace", "config", "warnings")]
-                ).encode())
+                cases[f"{key} {name}"] = _digest(repr([r[k] for k in (
+                    "order", "gains", "objective_trace", "config", "warnings", "graph")]).encode())
     return out
 
 
