@@ -76,16 +76,12 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _graph_summary(G: simgraph.NeighborGraph) -> dict:
-    return {"tau": G.tau, "edges": G.nnz, "degree": simgraph.degree_stats(G).to_dict()}
-
-
 def cmd_graph(args) -> int:
     E = _load_embeddings(args)
     G = simgraph.build_graph(E, args.tau)
     if args.out:
         simgraph.save_graph(args.out, G)
-    print(json.dumps({"schema": 1, "m": G.m, **_graph_summary(G)}, sort_keys=True))
+    print(json.dumps({"schema": 1, "m": G.m, **simgraph.graph_summary(G)}, sort_keys=True))
     return 0
 
 
@@ -111,18 +107,9 @@ def cmd_select(args) -> int:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {tau}")
         G = simgraph.load_graph(args.graph)
         result = replace(pruner.select(G, C, labels, cfg),
-                         graph={"source": "cache", **_graph_summary(G)})
-    else:  # one ball stage; then the rows the picks need, or the whole graph
-        stage = simgraph.ball_stage(E, cfg.tau)
-        if pruner.rows_pay(stage, cfg):
-            result = replace(pruner.select_rows(stage, C, labels, cfg), graph={
-                "source": "rows", "tau": stage.tau, "rows": stage.rows, "edges": stage.edges,
-                "pairs": stage.pairs})
-        else:
-            pairs = stage.build_pairs()
-            G = stage.graph()
-            result = replace(pruner.select(G, C, labels, cfg),
-                             graph={"source": "built", **_graph_summary(G), "pairs": pairs})
+                         graph={"source": "cache", **simgraph.graph_summary(G)})
+    else:
+        result = pruner.select_embeddings(E, C, labels, cfg)
     _emit(result.to_json(), args.out)
     return 0
 
@@ -162,17 +149,17 @@ def cmd_oracle(args) -> int:
 
 def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     """Per-step selection timings for the greedy engine
-    (``pruner.select_streaming``) vs k-center.
+    (``pruner.select_embeddings``, surrogate rule) vs k-center.
 
-    Graph construction is excluded from the per-step numbers. Below
-    ``pruner._STREAM_ROWS_FROM`` (1,024) steps the engine runs the
-    similarity scan, whose steps each cost one O(m d) rescan. At or above
-    it, ``relpick bench --steps`` times the rows path, whose steps are
-    uneven: the one step per prefetch call (``pruner._PREFETCH_ROWS``
-    picks) that computes the next batch of rows carries the work, and the
-    steps between cost an argmax and a row slice; the ball stage that the
-    rows start from is timed in no step. Every size is checked before the
-    first one runs. Returns a list of {algorithm, m, step, seconds} rows.
+    The engine takes the path a cold ``relpick select`` takes. Below 128
+    steps that is the similarity scan, whose steps each cost one O(m d)
+    rescan. From 128 on it is the rows on demand, whose steps are uneven
+    (the one step per prefetch call, ``pruner._PREFETCH_ROWS`` picks,
+    carries the work, and the steps between cost an argmax and a row
+    slice), or the whole graph, built before the first step. The ball
+    stage and the build are timed in no step. Every size is checked
+    before the first one runs. Returns a list of {algorithm, m, step,
+    seconds} rows.
     """
     if d < 1:
         raise ConfigError(f"bench d must be >= 1, got {d}")
@@ -192,7 +179,7 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
         E, C, labels, _ = oracle.random_instance(
             seed=seed, m=m, d=d, c=10, cluster_spread=0.1, noise_fraction=0.2
         )
-        result = pruner.select_streaming(E, C, cfg)
+        result = pruner.select_embeddings(E, C, None, cfg)
         for step, t in enumerate(result.wall_times):
             rows.append({"algorithm": "prune4rel", "m": m, "step": step, "seconds": t})
         _, ktimes = baselines.select_kcenter(E, steps, seed_index=0)

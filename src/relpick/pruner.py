@@ -8,8 +8,7 @@ Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
 confidence to the accumulator: a CSR row slice of a prebuilt graph
 (``select``), graph rows computed as the picks need them (``select_rows``),
-or an O(m d) on-the-fly similarity scan (``select_streaming`` below
-_STREAM_ROWS_FROM picks).
+or an O(m d) on-the-fly similarity scan.
 Only the loop knows the label classes: it forms the groups, all rows or
 one per present class (balanced), takes them round-robin, drops a class
 once all its rows are picked, and names to the policy the group to pick
@@ -42,25 +41,35 @@ the _PREFETCH_ROWS - 1 rows of highest gain that have none (one stage
 call), and drops it once picked.
 The rows equal ``build_graph``'s, so the order, gains, trace, config and
 warnings equal ``select``'s on the built graph, bit for bit.
-``rows_pay`` takes that path when the budget times
-``BallStage.row_pairs`` lies below _ROWS_SHARE (a quarter) of
-``BallStage.build_pairs``, a count from the input before any product.
-The ratio is about 2 s / m on clustered rows. On a 2-vCPU VM at d = 64
-the rows stopped paying at a ratio of about 0.3 on wide classes (spread
-0.1, tau 0.7, m = 20k: rows calls of many small groups) and about 0.6 on
-the ``cold_select`` instance (m = 40k), so a quarter keeps every path
-choice at least as fast as the build. The exact and lazy rules read every
-row in CELF's first pass and always build. ``select_streaming`` takes the
-rows path by budget alone, from _STREAM_ROWS_FROM = 4 x _PREFETCH_ROWS
-(1,024) picks, where the rows ran at least about as fast as the scan on
-every shape measured (see its docstring).
+
+``select_embeddings`` is the one entry point for a cold run, from
+embeddings with no graph at hand. It chooses the path by one rule and
+records it in the result's ``graph`` block; every path returns
+``select``'s result on the built graph, bit for bit:
+- the surrogate rule, plain or balanced, on a budget clamped to m below
+  _PREFETCH_ROWS // 2 (128) picks runs the similarity scan, and no ball
+  stage;
+- otherwise the ball stage runs, and ``rows_pay`` takes the rows when
+  the budget times ``BallStage.row_pairs`` lies below _ROWS_SHARE (0.35)
+  of ``BallStage.build_pairs``, a count from the input before any
+  product; else the whole graph is built. The exact and lazy rules read
+  every row in CELF's first pass and always build.
+The ratio is about 2 s / m on clustered rows. On a 2-vCPU VM
+(``tools/cold_paths.py``) the rows and the build crossed at ratios of
+about 0.36 on wide classes (m = 20k, d = 64, spread 0.1, tau 0.7), 0.4
+and 1.8 on criterion 8's instance (d = 32, spread 0.1, tau 0.8) at m =
+2048 and 16384, and above 0.6 on the ``cold_select`` instance (m = 40k,
+d = 64, spread 0.05, tau 0.9), so 0.35 keeps every shape measured on its
+faster side. Before the stage no count tells ``cold_select`` at 100
+picks, where the rows beat the scan, from wide classes at 512, where the
+scan wins; 128 was the best single budget cut over the shapes measured.
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
 
 ``check_inputs`` is the one check that the confidence, label and
 noise-flag vectors hold one entry per example, and that balanced
-selection has labels. ``select``, ``select_rows``, ``select_streaming``,
+selection has labels. ``select``, ``select_rows``, ``select_embeddings``,
 ``evaluate_subset``, the reference accumulator ``recompute_cn`` (and
 ``objective`` through it) and the oracle's scorers call it before any
 work, and the CLI calls it before it builds or loads a graph.
@@ -86,14 +95,14 @@ from .dataspec import (
     SelectionConfig,
     SelectionResult,
 )
-from .simgraph import BallStage, NeighborGraph, ball_stage, edge_floor, edge_weights, unit_rows
+from .simgraph import (BallStage, NeighborGraph, ball_stage, edge_floor, edge_weights,
+                       graph_summary, unit_rows)
 
 _ALL = slice(None)
 _CELF_BATCH = 16  # stale heap tops refreshed per call
 _FILL_EDGES = 1 << 18  # most stored edges per block of any exact-marginal call
-_PREFETCH_ROWS = 256  # rows per ``BallStage`` call of ``_rows_on_demand``
-_ROWS_SHARE = 0.25  # ``rows_pay``'s cut, see the module docstring
-_STREAM_ROWS_FROM = 4 * _PREFETCH_ROWS  # budgets ``select_streaming`` runs on rows
+_PREFETCH_ROWS = 256  # rows per ``BallStage`` call of ``_rows_on_demand``; half: the scan's cut
+_ROWS_SHARE = 0.35  # ``rows_pay``'s cut, see the module docstring
 
 
 class Utility:
@@ -355,25 +364,29 @@ def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
     return update
 
 
-def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels, pick, update) -> SelectionResult:
+def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None, pick,
+            update) -> SelectionResult:
     """The greedy loop, over a budget clamped to the population. The
-    candidates form groups: all rows when ``labels`` is None, else one
-    group per present label class, in id order, each its members in
-    ascending index. The groups take turns, and a group drops out once
-    all its rows are picked. Each step asks the pick policy for a
-    candidate of the group k whose turn it is, and its gain, passing the
-    accumulator cn and the rows the last update moved (all rows at the
-    first step), then adds the pick to cn.
+    candidates form groups: one per present label class under
+    ``cfg.balanced``, in id order, each its members in ascending index,
+    else all rows (labels given then are ignored, with a warning). The
+    groups take turns, and a group drops out once all its rows are
+    picked. Each step asks the pick policy for a candidate of the group
+    k whose turn it is, and its gain, passing the accumulator cn and the
+    rows the last update moved (all rows at the first step), then adds
+    the pick to cn.
     wall_times cover each step's pick and update. The objective trace,
     kept untimed, adds each pick's marginal u(cn) - u(cn - inc) over the
     rows it reached."""
     warnings, budget = [], min(cfg.budget, m)
     if cfg.budget > m:
         warnings.append(f"budget {cfg.budget} exceeds population {m}; clamped to {m}")
+    if labels is not None and not cfg.balanced:
+        warnings.append("labels are used only by balanced selection; ignored")
     cn, order = np.zeros(m), []
-    labels = np.zeros(m, np.int8) if labels is None else labels  # all rows: one class
-    by_class = np.argsort(labels, kind="stable")  # each class's members in ascending index
-    groups = np.split(by_class, np.flatnonzero(np.diff(labels[by_class])) + 1)
+    classes = labels.values if cfg.balanced else np.zeros(m, np.int8)  # all rows: one class
+    by_class = np.argsort(classes, kind="stable")  # each class's members in ascending index
+    groups = np.split(by_class, np.flatnonzero(np.diff(classes[by_class])) + 1)
     turns = deque((k, ids.size) for k, ids in enumerate(groups))  # (group, rows left)
     picked, trace, wall_times = [], [], []
     total, moved = 0.0, _ALL
@@ -412,7 +425,7 @@ def select(
         pick = _best_of(_self_gains(C.values, u), G.m)
     else:  # exact and lazy: one CELF computation
         pick = _celf(_exact_gains(G, C.values, u))
-    return _run(G.m, cfg, u, labels, pick, _graph_rows(G, C.values))
+    return _greedy(G.m, cfg, u, labels, pick, _graph_rows(G, C.values))
 
 
 def rows_pay(stage: BallStage, cfg: SelectionConfig) -> bool:
@@ -439,52 +452,48 @@ def select_rows(stage: BallStage, C: ConfidenceVector, labels: LabelVector | Non
     cfg = replace(cfg, tau=stage.tau)
     u = utility_from_config(cfg)
     pick = _best_of(_self_gains(C.values, u), stage.m)
-    return _run(stage.m, cfg, u, labels, pick, _rows_on_demand(stage, C.values, pick.gains))
+    return _greedy(stage.m, cfg, u, labels, pick, _rows_on_demand(stage, C.values, pick.gains))
 
 
-def _run(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None, pick,
-         update) -> SelectionResult:
-    """``_greedy`` over the configured groups, noting labels it ignores."""
-    result = _greedy(m, cfg, u, labels.values if cfg.balanced else None, pick, update)
-    if labels is not None and not cfg.balanced:
-        return replace(result, warnings=result.warnings
-                       + ["labels are used only by balanced selection; ignored"])
-    return result
+def _scan(E, C: ConfidenceVector, labels: LabelVector | None,
+          cfg: SelectionConfig) -> SelectionResult:
+    """The scan path of ``select_embeddings``: the surrogate rule, plain or
+    balanced, on one similarity scan per pick, and no graph."""
+    cfg = replace(cfg, tau=float(cfg.tau))
+    u = utility_from_config(cfg)
+    update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
+    result = _greedy(E.m, cfg, u, labels, _best_of(_self_gains(C.values, u), E.m), update)
+    return replace(result, graph={"source": "scan", "tau": cfg.tau})
+
+
+def select_embeddings(E, C: ConfidenceVector, labels: LabelVector | None,
+                      cfg: SelectionConfig) -> SelectionResult:
+    """Selection from embeddings with no graph at hand: ``select``'s result
+    on ``build_graph(E, cfg.tau)``, bit for bit, by the scan, the rows on
+    demand or the build, whichever the module docstring's rule chooses.
+    The result's ``graph`` block names the path: ``{source: scan, tau}``;
+    ``{source: rows, tau, rows, edges, pairs}``, the stage's counts; or
+    ``{source: built, tau, edges, degree, pairs}``. The inputs are checked
+    first by ``check_inputs``."""
+    check_inputs(E.m, C, labels, cfg)
+    if cfg.rule == "surrogate" and min(cfg.budget, E.m) < _PREFETCH_ROWS // 2:
+        return _scan(E, C, labels, cfg)
+    stage = ball_stage(E, cfg.tau)
+    if rows_pay(stage, cfg):
+        result = select_rows(stage, C, labels, cfg)
+        return replace(result, graph={"source": "rows", "tau": stage.tau, "rows": stage.rows,
+                                      "edges": stage.edges, "pairs": stage.pairs})
+    pairs = stage.build_pairs()
+    G = stage.graph()
+    return replace(select(G, C, labels, cfg),
+                   graph={"source": "built", **graph_summary(G), "pairs": pairs})
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:
-    """Graph-free surrogate selection: the same order as rule='surrogate'
-    on ``build_graph(E, cfg.tau)``, with no whole graph built. A budget,
-    clamped to m, of at least _STREAM_ROWS_FROM (1,024) runs
-    ``select_rows`` on one ``ball_stage``, which returns ``select``'s
-    result on that graph bit for bit and computes only the rows the picks
-    need, in batches of _PREFETCH_ROWS. A smaller
-    budget runs the similarity scan: each pick rescans the similarities
-    to the chosen example (one gemv, O(m d) per step) with a dense
-    update, so every step costs the same; criterion 8's scaling bench
-    (100 steps) times it.
-
-    The cut was calibrated in-process on a 2-vCPU VM, best of 2 totals,
-    rows / scan at budgets 256, 512, 768, 1024 and 2000: the criterion-8
-    instance (d = 32, spread 0.1, tau 0.8) at m = 2048 1.13, 1.09, 0.93,
-    0.98, 0.70 and at m = 16384 1.07, 0.74, 0.63, 0.59, 0.48; the
-    ``cold_select`` instance (m = 40k, d = 64) 0.31, 0.18, 0.16, 0.13,
-    0.10; wide classes (m = 20k, d = 64, spread 0.1, tau 0.7) 1.91, 1.28,
-    1.03, 0.95, 0.64. At 100 steps the rows cost 2.2-3.4 times the scan
-    except on ``cold_select`` (0.74). So the rows pay from about 300 picks
-    at m = 16k and below 100 on ``cold_select``, but only from about 800
-    to 1,000 at m = 2048 and on wide classes; from 1,024 on, every shape
-    measured takes the faster path or one within a few percent of it.
-    A confidence vector of another length than E's is a DataError.
-    """
-    if cfg.rule != "surrogate" or cfg.balanced:
-        raise ConfigError("streaming selection supports only the plain surrogate rule")
-    check_inputs(E.m, C)
-    if min(cfg.budget, E.m) >= _STREAM_ROWS_FROM:
-        return select_rows(ball_stage(E, cfg.tau), C, None, cfg)
-    u = utility_from_config(cfg)
-    update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
-    return _greedy(E.m, cfg, u, None, _best_of(_self_gains(C.values, u), E.m), update)
+    """``select_embeddings`` without labels: plain surrogate selection by
+    default, and any rule ``cfg`` names. A confidence vector of another
+    length than E's is a DataError."""
+    return select_embeddings(E, C, None, cfg)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ its group's columns, and the rows of every earlier ball that reaches it.
 layout, so these rows equal the graph's, byte for byte. Before any
 product, ``BallStage.build_pairs`` counts the dot products of the build
 and ``BallStage.row_pairs`` those of a row on demand, on the mean;
-``pruner.rows_pay`` compares the two. The build and the rows on demand
+``pruner.rows_pay`` compares the two, and ``pruner.select_embeddings``
+takes the rows or builds by that count. The build and the rows on demand
 take their rows per block of cosines from one rule, ``_rows_per_block``.
 
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
@@ -71,7 +72,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -573,9 +574,6 @@ class DegreeStats:
     mean: float
     max: int
 
-    def to_dict(self) -> dict:
-        return {"min": self.min, "mean": self.mean, "max": self.max}
-
 
 def degree_stats(G: NeighborGraph) -> DegreeStats:
     """Neighbor-count summary, self-loops excluded."""
@@ -585,6 +583,13 @@ def degree_stats(G: NeighborGraph) -> DegreeStats:
         mean=float(degrees.mean()),
         max=int(degrees.max()),
     )
+
+
+def graph_summary(G: NeighborGraph) -> dict:
+    """The graph's tau, stored entries (self-loops included) and degree
+    stats: what ``relpick graph`` prints and a built or cached graph's
+    ``graph`` block in a selection result holds."""
+    return {"tau": G.tau, "edges": G.nnz, "degree": asdict(degree_stats(G))}
 
 
 def save_graph(path: str | Path, G: NeighborGraph) -> None:

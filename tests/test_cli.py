@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -144,6 +145,8 @@ class TestSelectCommand:
         monkeypatch.setattr(simgraph, "build_graph", no_graph)
         monkeypatch.setattr(simgraph, "ball_stage", no_graph)
         monkeypatch.setattr(simgraph, "load_graph", no_graph)
+        monkeypatch.setattr(pruner, "ball_stage", no_graph)
+        monkeypatch.setattr(pruner, "_similarity_scan", no_graph)
         bad = [str(tmp / a) if a == "short" else a for a in bad]
         argv = ["select", "--embeddings", emb] + bad
         if "--confidences" not in bad:
@@ -294,8 +297,8 @@ class TestSelectCommand:
         assert "seed" not in config
         assert main(argv + ["--tau", "0.95"]) == 2
 
-    @pytest.mark.parametrize("source", ["built", "cache"])
-    def test_result_records_graph_provenance(self, tmp_path, capsys, source):
+    @pytest.mark.parametrize("source", ["built", "cache", "scan"])
+    def test_result_records_graph_provenance(self, tmp_path, monkeypatch, capsys, source):
         emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"
         write_matrix_binary(emb, np.array([[1, 0], [2, 0], [0, 1]], dtype=np.float32))
         write_vector_text(conf, np.array([0.9, 0.5, 0.1]))
@@ -305,27 +308,34 @@ class TestSelectCommand:
             argv += ["--graph", str(cache)]
         else:
             argv += ["--tau", "0.3"]
+        if source == "built":  # the scan's cut at one pick, and the rows never paying
+            monkeypatch.setattr(pruner, "_PREFETCH_ROWS", 2)
+            monkeypatch.setattr(pruner, "_ROWS_SHARE", 0.0)
         capsys.readouterr()
         assert main(argv) == 0
         # the build multiplies the ball {0, 1} by itself and the loose row 2
-        # by itself: 2 * 2 + 1 pairs; a cache multiplies none
+        # by itself: 2 * 2 + 1 pairs; a cache multiplies none, and a scan of
+        # 2 picks, below the scan's cut, builds no graph to summarize
+        summary = {"tau": 0.3, "edges": 5, "degree": {"min": 0, "mean": 2 / 3, "max": 1}}
         assert json.loads(capsys.readouterr().out)["graph"] == {
-            "source": source, "tau": 0.3, "edges": 5,
-            "degree": {"min": 0, "mean": 2 / 3, "max": 1},
-            **({"pairs": 5} if source == "built" else {})}
+            "built": {"source": "built", **summary, "pairs": 5},
+            "cache": {"source": "cache", **summary},
+            "scan": {"source": "scan", "tau": 0.3}}[source]
 
-    def test_rows_result_records_rows_edges_and_pairs(self, tmp_path, capsys):
+    def test_rows_result_records_rows_edges_and_pairs(self, tmp_path, monkeypatch, capsys):
         # 16 orthogonal rows, one loose group: one pick's row costs 16 pairs
-        # against the build's one block of 16 by 16, so the rows are computed
-        # on demand, all 16 in the first call (the pick and the 15 others)
+        # against the build's one block of 16 by 16, so past the scan's cut
+        # (here at one pick) the rows are computed on demand, 2 per call:
+        # the pick and the row of next highest gain
+        monkeypatch.setattr(pruner, "_PREFETCH_ROWS", 2)
         emb, conf = tmp_path / "e.bin", tmp_path / "c.txt"
         write_matrix_binary(emb, np.eye(16, dtype=np.float32))
         write_vector_text(conf, np.linspace(0.1, 0.9, 16))
         assert main(["select", "--embeddings", str(emb), "--confidences", str(conf),
                      "--budget", "1", "--tau", "0.3"]) == 0
         result = json.loads(capsys.readouterr().out)
-        assert result["graph"] == {"source": "rows", "tau": 0.3, "rows": 16, "edges": 16,
-                                   "pairs": 16 * 16}
+        assert result["graph"] == {"source": "rows", "tau": 0.3, "rows": 2, "edges": 2,
+                                   "pairs": 2 * 16}
         assert result["order"] == [15]
 
     @pytest.mark.parametrize("balanced", [False, True])
@@ -339,9 +349,10 @@ class TestSelectCommand:
         write_vector_text(lab, labels.values)
         argv = ["select", "--embeddings", str(emb), "--confidences", str(conf), "--budget", "60",
                 "--tau", "0.9"] + (["--balanced", "--labels", str(lab)] if balanced else [])
+        monkeypatch.setattr(pruner, "_PREFETCH_ROWS", 120)  # its half, the scan's cut: 60
         results = {}
-        for rows in (False, True):
-            monkeypatch.setattr(pruner, "rows_pay", lambda stage, cfg, rows=rows: rows)
+        for rows in (False, True):  # the rows always or never paying
+            monkeypatch.setattr(pruner, "_ROWS_SHARE", math.inf if rows else 0.0)
             assert main(argv) == 0
             results[rows] = json.loads(masked(capsys.readouterr().out))
         assert [r["graph"]["source"] for r in results.values()] == ["built", "rows"]

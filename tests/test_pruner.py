@@ -580,10 +580,15 @@ class TestSelect:
         naive = oracle.naive_objective(E, C, 0.9, r.order, lambda z: z)
         assert r.objective_trace == [pytest.approx(naive, abs=1e-12)]
 
-    def test_streaming_rejects_other_rules(self):
-        E, C, _, _ = oracle.random_instance(0, m=10, d=4, c=2)
-        with pytest.raises(ConfigError):
-            select_streaming(E, C, SelectionConfig(budget=2, rule="exact"))
+    def test_entry_point_serves_the_exact_rules(self):
+        E, C, labels, _ = oracle.random_instance(0, m=60, d=4, c=2, cluster_spread=0.3)
+        G = build_graph(E, 0.7)
+        for rule in ("exact", "lazy"):
+            for balanced in (False, True):
+                cfg = SelectionConfig(budget=10, tau=0.7, rule=rule, balanced=balanced)
+                same_result(pruner.select_embeddings(E, C, labels, cfg), select(G, C, labels, cfg))
+            cfg = SelectionConfig(budget=10, tau=0.7, rule=rule)
+            same_result(select_streaming(E, C, cfg), select(G, C, None, cfg))
 
     def test_determinism(self):
         E, C, labels, _ = oracle.random_instance(9, m=40, d=6, c=3, cluster_spread=0.3)
@@ -687,64 +692,73 @@ class TestRowsOnDemand:
         assert not pruner.rows_pay(stage, SelectionConfig(budget=10 ** 6, tau=0.9))
 
 
-class TestStreamingPaths:
-    """``select_streaming`` runs the similarity scan below
-    ``_STREAM_ROWS_FROM`` picks and rows on demand from it on; on the rows
-    path it returns ``select``'s result on the built graph, bit for bit."""
+class TestColdPaths:
+    """``select_embeddings`` runs the similarity scan for the surrogate rule
+    below ``_PREFETCH_ROWS // 2`` picks, else the ball stage and then the
+    rows when ``rows_pay`` holds (below ``_ROWS_SHARE`` of the build's
+    pairs) or the build; every path returns ``select``'s result on the
+    built graph, bit for bit, and names itself in the ``graph`` block."""
 
-    @staticmethod
-    def paths_taken(monkeypatch):
-        taken, scan, stage = [], pruner._similarity_scan, pruner.ball_stage
-
-        def scanning(*args):
-            taken.append("scan")
-            return scan(*args)
-
-        def rows(*args):
-            taken.append("rows")
-            return stage(*args)
-        monkeypatch.setattr(pruner, "_similarity_scan", scanning)
-        monkeypatch.setattr(pruner, "ball_stage", rows)
-        return taken
+    # (_PREFETCH_ROWS, _ROWS_SHARE) forcing each path: the scan's cut is
+    # above every budget, or at 1 with the rows always or never paying
+    FORCE = {"scan": (2 ** 40, pruner._ROWS_SHARE), "rows": (2, math.inf), "built": (2, 0.0)}
 
     INSTANCES = [
         ("clustered", lambda: oracle.random_instance(3, m=600, d=16, c=5, cluster_spread=0.1,
-                                                     noise_fraction=0.2)[:2], 100, 0.9),
+                                                     noise_fraction=0.2)[:3], 100, 0.9),
         ("no-balls", lambda: (random_unit_rows(np.random.default_rng(5), 300, 32),
-                              ConfidenceVector(np.random.default_rng(6).uniform(0, 1, 300))),
+                              ConfidenceVector(np.random.default_rng(6).uniform(0, 1, 300)),
+                              LabelVector(np.random.default_rng(7).integers(0, 4, 300))),
          60, 0.3),
         ("budget-over-m", lambda: oracle.random_instance(1, m=40, d=8, c=3,
-                                                         cluster_spread=0.1)[:2], 50, 0.9),
-        ("boundary-pair", lambda: (boundary_pair(0.9), ConfidenceVector([0.9, 0.5])), 2, 0.9),
+                                                         cluster_spread=0.1)[:3], 50, 0.9),
+        ("boundary-pair", lambda: (boundary_pair(0.9), ConfidenceVector([0.9, 0.5]),
+                                   LabelVector([1, 0])), 2, 0.9),
     ]
 
     @pytest.mark.parametrize("name,make,budget,tau", INSTANCES, ids=[i[0] for i in INSTANCES])
-    def test_rows_path_equals_select_on_the_graph(self, monkeypatch, name, make, budget, tau):
-        monkeypatch.setattr(pruner, "_STREAM_ROWS_FROM", 1)
-        taken = self.paths_taken(monkeypatch)
-        E, C = make()
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("path", list(FORCE))
+    def test_each_path_equals_select_on_the_graph(self, monkeypatch, path, balanced, name, make,
+                                                  budget, tau):
+        prefetch, share = self.FORCE[path]
+        monkeypatch.setattr(pruner, "_PREFETCH_ROWS", prefetch)
+        monkeypatch.setattr(pruner, "_ROWS_SHARE", share)
+        E, C, labels = make()
         if name == "no-balls":
             assert len(simgraph.ball_stage(E, tau).groups) == 1, "precondition"
-        cfg = SelectionConfig(budget=budget, tau=tau)
-        streamed = select_streaming(E, C, cfg)
-        assert taken == ["rows"]
-        same_result(streamed, select(build_graph(E, tau), C, None, cfg))
-        assert any("clamped" in w for w in streamed.warnings) == (budget > E.m)
+        cfg = SelectionConfig(budget=budget, tau=tau, balanced=balanced)
+        r, G = pruner.select_embeddings(E, C, labels, cfg), build_graph(E, tau)
+        same_result(r, select(G, C, labels, cfg))  # labels unused unless balanced: a warning
+        assert any("clamped" in w for w in r.warnings) == (budget > E.m)
+        if path == "built":
+            assert r.graph == {"source": "built", **simgraph.graph_summary(G),
+                               "pairs": simgraph.ball_stage(E, tau).build_pairs()}
+        elif path == "rows":  # each row computed holds its self-loop, and a pair per entry
+            assert r.graph["source"] == "rows" and r.graph["tau"] == tau
+            assert len(r.order) <= r.graph["rows"] <= r.graph["edges"] <= r.graph["pairs"]
+        else:
+            assert r.graph == {"source": "scan", "tau": tau}
 
-    def test_rows_path_at_the_cut_equals_select_on_the_graph(self):
-        E, C, _, _ = oracle.random_instance(2, m=1500, d=16, c=10, cluster_spread=0.1,
-                                            noise_fraction=0.2)
-        cfg = SelectionConfig(budget=pruner._STREAM_ROWS_FROM, tau=0.8)
-        same_result(select_streaming(E, C, cfg), select(build_graph(E, 0.8), C, None, cfg))
-
-    def test_each_path_on_its_own_side_of_the_cut(self, monkeypatch):
-        taken = self.paths_taken(monkeypatch)
-        cut = pruner._STREAM_ROWS_FROM
-        big = oracle.random_instance(0, m=cut + 50, d=8, c=5, cluster_spread=0.1)[:2]
-        small = oracle.random_instance(0, m=cut - 1, d=8, c=5, cluster_spread=0.1)[:2]
-        for (E, C), budget, path in ((big, cut - 1, "scan"), (big, cut, "rows"),
-                                     (big, 5 * cut, "rows"), (small, 5 * cut, "scan")):
-            taken.clear()
-            r = select_streaming(E, C, SelectionConfig(budget=budget, tau=0.9))
-            assert taken == [path], (E.m, budget)
+    def test_the_rule_takes_each_path_on_its_side(self, monkeypatch):
+        stages, stage = [], pruner.ball_stage
+        monkeypatch.setattr(pruner, "ball_stage", lambda *a: stages.append(a) or stage(*a))
+        cut = pruner._PREFETCH_ROWS // 2
+        assert cut == 128
+        big = oracle.random_instance(0, m=2000, d=16, c=10, cluster_spread=0.05,
+                                     noise_fraction=0.2)[:3]
+        small = oracle.random_instance(0, m=cut - 1, d=8, c=3, cluster_spread=0.1)[:3]
+        for (E, C, labels), budget, rule, balanced, path in (
+                (big, cut - 1, "surrogate", False, "scan"),
+                (big, cut - 1, "surrogate", True, "scan"),
+                (big, cut, "surrogate", False, "rows"),
+                (big, cut, "surrogate", True, "rows"),
+                (big, 10 ** 6, "surrogate", False, "built"),  # clamped to m: every row
+                (small, 10 ** 6, "surrogate", False, "scan"),  # clamped to m, below the cut
+                (small, 1, "exact", False, "built"),
+                (small, 1, "lazy", True, "built")):
+            stages.clear()
+            cfg = SelectionConfig(budget=budget, tau=0.9, rule=rule, balanced=balanced)
+            r = pruner.select_embeddings(E, C, labels, cfg)
+            assert (r.graph["source"], len(stages)) == (path, int(path != "scan")), cfg
             assert len(r.order) == min(budget, E.m)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PICK_DIGESTS = ROOT / "tools" / "pick_digests.py"
+COLD_PATHS = ROOT / "tools" / "cold_paths.py"
 
 
 def pick_digests(parent, change):
@@ -20,7 +21,7 @@ class TestPickDigests:
         assert time.perf_counter() - t0 < 30.0
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "0 of 36 cases differ"
+        assert lines[-1] == "0 of 57 cases differ"
         assert all(line.endswith("  same") for line in lines[:-1])
 
     def test_a_gain_one_ulp_off_is_a_difference(self, tmp_path):
@@ -33,5 +34,23 @@ class TestPickDigests:
         run = pick_digests(ROOT, tmp_path)
         assert run.returncode == 1, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "33 of 36 cases differ"
+        assert lines[-1] == "39 of 57 cases differ"
         assert all(line.endswith("  DIFF") != (" graph " in line) for line in lines[:-1])
+
+
+class TestColdPaths:
+    def test_tiny_shape_names_the_path_the_rule_takes(self):
+        t0 = time.perf_counter()
+        run = subprocess.run([sys.executable, str(COLD_PATHS), "1500:8:10:0.05:0.9",
+                              "--budgets", "10,128,1000,2000", "--repeat", "1"],
+                             capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - t0 < 5.0
+        assert run.returncode == 0, run.stderr
+        header, *rows = run.stdout.splitlines()
+        assert header.split() == ["shape", "budget", "scan", "rows", "build", "ratio", "rule",
+                                  "rule/fastest"]
+        # below the scan's cut, then a count ratio below the rows' share and
+        # one above it; a budget above m is skipped
+        assert [(r.split()[1], r.split()[6]) for r in rows] == [
+            ("10", "scan"), ("128", "rows"), ("1000", "built")]
+        assert all(float(r.split()[7]) >= 1.0 for r in rows)

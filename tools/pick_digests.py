@@ -9,22 +9,19 @@ instances and digests, on each:
 - the graph cache that `simgraph.save_graph` writes;
 - `select` under each rule (surrogate, exact, lazy), with and without class
   balancing;
-- `select_streaming` at the graph's tau, at a budget of m / 10, which runs
-  the similarity scan, and at m / 2, at or above
-  `pruner._STREAM_ROWS_FROM` on every instance, which runs the rows the
-  picks need (a tree from before that cut runs the scan there too, so
-  comparing it with a later tree compares the two paths case by case);
+- `select_streaming` at the graph's tau, at budgets of m / 10 and m / 2;
 - `relpick select` from files, with no graph cache, through `cli.main`:
-  with and without class balancing at a budget of m / 20, small enough
-  that the rows the picks need are computed on demand, and without it at
-  m / 2, large enough that the whole graph is built (see
-  `pruner.rows_pay`).
+  with and without class balancing at budgets of 100 and m / 20, and
+  without it at m / 2. Each tree takes the cold path its own rule
+  chooses, so two trees with different rules compare their paths case
+  by case.
 
 A selection's digest is a sha256 prefix of its (order, gains,
 objective_trace), the floats written by `repr`, which round-trips them
-exactly; a `relpick select` run's also covers its `config`, `warnings`
-and `graph` block (the counts of the build or of the rows on demand).
-A cache's digest is one of its bytes.
+exactly; a `relpick select` run's also covers its `config` and
+`warnings`. The run's `graph` block, which names the path taken and
+its counts, is a case of its own ("... graph"), so a change of path
+shows apart from the picks. A cache's digest is one of its bytes.
 
 Prints one line per case with both trees' digests and "same" or "DIFF",
 then exits 1 if any case differs or is missing from a tree, else 0.
@@ -81,7 +78,9 @@ def digests() -> dict:
             dataspec.write_matrix_binary(files[0], E.data)
             dataspec.write_vector_text(files[1], C.values)
             dataspec.write_vector_text(files[2], labels.values)
-            for name, budget, balanced in (("cli", m // 20, False), ("cli balanced", m // 20, True),
+            for name, budget, balanced in (("cli s=100", 100, False),
+                                           ("cli s=100 balanced", 100, True),
+                                           ("cli", m // 20, False), ("cli balanced", m // 20, True),
                                            ("cli m/2", m // 2, False)):
                 argv = ["select", "--embeddings", str(files[0]), "--confidences", str(files[1]),
                         "--budget", str(budget), "--tau", repr(TAU), "--out", str(files[3])]
@@ -91,7 +90,8 @@ def digests() -> dict:
                     raise SystemExit(f"relpick {' '.join(argv)} failed")
                 r = json.loads(files[3].read_text())
                 cases[f"{key} {name}"] = _digest(repr([r[k] for k in (
-                    "order", "gains", "objective_trace", "config", "warnings", "graph")]).encode())
+                    "order", "gains", "objective_trace", "config", "warnings")]).encode())
+                cases[f"{key} {name} graph"] = _digest(repr(r["graph"]).encode())
     return out
 
 
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     for case in sorted(parent.keys() | change.keys()):
         a, b = parent.get(case, "-"), change.get(case, "-")
         differ += a != b
-        print(f"{case:32s}  {a:16s}  {b:16s}  {'same' if a == b else 'DIFF'}")
+        print(f"{case:38s}  {a:16s}  {b:16s}  {'same' if a == b else 'DIFF'}")
     print(f"{differ} of {len(parent.keys() | change.keys())} cases differ")
     return 1 if differ else 0
 
