@@ -116,6 +116,8 @@ def cmd_select(args) -> int:
 
 def cmd_oracle(args) -> int:
     # the inputs and the enumeration guard are checked before the build
+    if args.budget < 1:  # a usage error, as in select, refused before any file is read
+        raise ConfigError(f"budget must be >= 1, got {args.budget}")
     E = _load_embeddings(args)
     C = _load_confidence(args)
     pruner.check_inputs(E.m, C)

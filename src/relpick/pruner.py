@@ -59,10 +59,13 @@ The ratio is about 2 s / m on clustered rows. On a 2-vCPU VM
 about 0.36 on wide classes (m = 20k, d = 64, spread 0.1, tau 0.7), 0.4
 and 1.8 on criterion 8's instance (d = 32, spread 0.1, tau 0.8) at m =
 2048 and 16384, and above 0.6 on the ``cold_select`` instance (m = 40k,
-d = 64, spread 0.05, tau 0.9), so 0.35 keeps every shape measured on its
-faster side. Before the stage no count tells ``cold_select`` at 100
-picks, where the rows beat the scan, from wide classes at 512, where the
-scan wins; 128 was the best single budget cut over the shapes measured.
+d = 64, spread 0.05, tau 0.9), so 0.35 keeps every shape measured at
+budgets up to 4000 on its faster side. At larger budgets it is not:
+on clustered rows it builds from about s = 0.19 m on, while the rows
+stay faster up to about 0.4 m. Before the stage no count tells
+``cold_select`` at 100 picks, where the rows beat the scan, from wide
+classes at 512, where the scan wins; 128 was the best single budget
+cut over the shapes measured.
 
 All ties break toward the lowest index; the accumulator is float64 and
 updated over neighbors in index order, so runs are deterministic.
@@ -332,18 +335,19 @@ def _graph_rows(G: NeighborGraph, conf: np.ndarray):
 def _rows_on_demand(stage: BallStage, conf: np.ndarray, gains: np.ndarray):
     """Rows from ``stage`` as the picks need them: when the pick has no
     row yet, it is computed with the _PREFETCH_ROWS - 1 rows of highest
-    gain in ``gains`` (``_best_of``'s) that have none, in one ``stage``
-    call. A row is kept until it is picked."""
-    held, asked = {}, np.zeros(len(conf), dtype=bool)
+    gain in ``gains`` (``_best_of``'s) that are free, in one ``stage``
+    call. A row is held until it is picked; a picked row's gain is -inf,
+    so a row is free unless it is held or picked, and none is computed
+    twice."""
+    held = {}
 
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
         if x not in held:
-            free = np.where(asked, -np.inf, gains)  # taken rows' gains are -inf too
-            free[x] = -np.inf
+            free = gains.copy()  # a picked row's gain is -inf, x's included
+            free[list(held)] = -np.inf
             k = min(_PREFETCH_ROWS, len(free)) - 1
             top = np.argpartition(-free, k)[:k]  # the k highest
             ids = np.append(top[free[top] > -np.inf], x)
-            asked[ids] = True
             held.update(zip(ids.tolist(), stage(ids)))
         js, ws = held.pop(x)
         inc = ws.astype(np.float64) * conf[x]
@@ -483,10 +487,9 @@ def select_embeddings(E, C: ConfidenceVector, labels: LabelVector | None,
         result = select_rows(stage, C, labels, cfg)
         return replace(result, graph={"source": "rows", "tau": stage.tau, "rows": stage.rows,
                                       "edges": stage.edges, "pairs": stage.pairs})
-    pairs = stage.build_pairs()
     G = stage.graph()
     return replace(select(G, C, labels, cfg),
-                   graph={"source": "built", **graph_summary(G), "pairs": pairs})
+                   graph={"source": "built", **graph_summary(G), "pairs": stage.pairs})
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:

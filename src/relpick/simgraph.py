@@ -46,15 +46,18 @@ temporaries beside the graph. Stored weights always lie in [tau, 1].
 keeps the balls' reach test. ``BallStage.graph`` builds the graph from
 it, and a call of the stage computes any rows of that graph without the
 others. The build scores a pair from one side, the group of its earlier
-row in the ball order, and mirrors it. A row on demand takes both sides:
-its group's columns, and the rows of every earlier ball that reaches it.
-``edge_weights`` gives a pair the same edge and weight in any block
-layout, so these rows equal the graph's, byte for byte. Before any
-product, ``BallStage.build_pairs`` counts the dot products of the build
-and ``BallStage.row_pairs`` those of a row on demand, on the mean;
-``pruner.rows_pay`` compares the two, and ``pruner.select_embeddings``
-takes the rows or builds by that count. The build and the rows on demand
-take their rows per block of cosines from one rule, ``_rows_per_block``.
+row in the ball order, and mirrors it. A call multiplies the rows it is
+asked for in one group against both sides: the group's columns, and the
+rows of every earlier ball that reaches one of them. A ball that does
+not reach a row holds no edge of it, by the proof the build skips pairs
+on, and ``edge_weights`` gives a pair the same edge and weight in any
+block layout, so the rows hold every edge the rule keeps and equal the
+graph's, byte for byte. Before any product, ``BallStage.build_pairs``
+counts the dot products of the build and ``BallStage.row_pairs`` those
+of a row on demand, on the mean; ``pruner.rows_pay`` compares the two,
+and ``pruner.select_embeddings`` takes the rows or builds by that count.
+The build and the rows on demand take their rows per block of cosines
+from one rule, ``_rows_per_block``.
 
 Column ids are int32 everywhere: in the build, in ``NeighborGraph`` and
 in the cache, so m must stay below 2^31. Row offsets are int64.
@@ -266,17 +269,16 @@ class BallStage:
 
     A call returns, per id, what the graph's ``neighbors`` gives, the
     columns ascending (intp) and the float32 weights, self-loop included.
-    A row holds the pairs that the build scores for it from either side:
-    a row in group g is multiplied against g's columns ``at`` (the build's
-    own side) and against the rows of every earlier ball whose ``at``
-    holds it (the side the build mirrors, ``_reach``). The requested rows
-    of one group are one block: the group's columns and the rows of the
-    earlier balls that reach any of the block's rows, in sub-blocks of
-    ``_rows_per_block`` rows. ``edge_weights`` scores them, and pairs of a
-    ball that does not reach their row are dropped, so a row holds the
-    same edges and weights as the graph's. ``rows``, ``edges`` and
-    ``pairs`` count the rows computed, their stored entries and the dot
-    products multiplied."""
+    The requested rows of one group g are one block, multiplied in
+    sub-blocks of ``_rows_per_block`` rows against g's columns ``at`` (the
+    build's own side) and the rows of every earlier ball whose ``at``
+    holds one of them (the side the build mirrors, ``_reach``), and a row
+    keeps every pair that ``edge_weights`` keeps. A ball that does not
+    reach a row lies beyond the widest edge angle from it, so the pairs
+    it adds to that row fail the rule, and a row holds the same edges and
+    weights as the graph's. ``rows``, ``edges`` and ``pairs`` count the
+    rows computed, their stored entries and the dot products multiplied;
+    ``graph`` adds the build's products to ``pairs``."""
 
     tau: float
     floor: float
@@ -342,10 +344,7 @@ class BallStage:
             block = np.flatnonzero(group == g)
             rows = pos[block]
             lo, hi, at = groups[g]
-            reach = self._reach(g, rows)
-            ranges = [groups[b][:2] for b in reach]
-            cols = np.concatenate([at] + [np.arange(a, z) for a, z in ranges])
-            owner = np.repeat([-1] + reach, [at.size] + [z - a for a, z in ranges])  # -1: at's
+            cols = np.concatenate([at] + [np.arange(*groups[b][:2]) for b in self._reach(g, rows)])
             X = P[lo:hi] if cols.size == hi - lo else P[cols]  # own rows alone: a view
             step = _rows_per_block(cols.size)
             buf = np.empty(min(step, rows.size) * cols.size)
@@ -353,11 +352,7 @@ class BallStage:
                 part = rows[start:start + step]
                 flat, w32 = edge_weights(_cosines(P[part], X, buf), part, cols, P, self.floor)
                 r, c = divmod(flat, cols.size)
-                b = owner[c]
-                keep = b < 0
-                mirror = ~keep
-                keep[mirror] = self.near[b[mirror], part[r[mirror]]]
-                r, j, w32 = r[keep], self.order[cols[c[keep]]].astype(np.intp), w32[keep]
+                j = self.order[cols[c]].astype(np.intp)
                 by_row = np.argsort(r * self.m + j)
                 r, j, w32 = r[by_row], j[by_row], w32[by_row]
                 cuts = np.cumsum(np.bincount(r, minlength=part.size))[:-1]
@@ -376,6 +371,7 @@ class BallStage:
         before the assembly, which holds the records and the CSR."""
         (P, groups), m, pairs = self._parts(), self.m, self.build_pairs()
         self.P = self.groups = self.near = None
+        self.pairs += pairs
         segments, bands, degree = _upper_edges(self.order, P, groups, self.floor, pairs)
         del P, groups
         indptr = np.zeros(m + 1, dtype=np.int64)

@@ -451,6 +451,26 @@ class TestOracleCommand:
         assert capsys.readouterr().err == (
             f"relpick: error: {res}: result holds 6 picks, not --budget 3\n")
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_exits_2_before_any_file_is_read(self, fixture_files, capsys,
+                                                              budget):
+        # oracle exited 3 ("subset size 0 out of range [1, 3]") where select exits 2
+        tmp, emb, conf = fixture_files
+        assert main(["select", "--embeddings", emb, "--confidences", conf,
+                     "--budget", str(budget), "--tau", "0.5"]) == 2
+        said = capsys.readouterr().err
+        missing = str(tmp / "missing")
+        assert main(["oracle", "--embeddings", missing, "--confidences", missing,
+                     "--budget", str(budget), "--tau", "0.5"]) == 2
+        assert capsys.readouterr().err == said == (
+            f"relpick: error: budget must be >= 1, got {budget}\n")
+
+    def test_budget_above_m_exits_3(self, fixture_files, capsys):
+        _, emb, conf = fixture_files
+        assert main(["oracle", "--embeddings", emb, "--confidences", conf,
+                     "--budget", "4", "--tau", "0.5"]) == 3
+        assert capsys.readouterr().err == "relpick: error: subset size 4 out of range [1, 3]\n"
+
     def test_oversize_instance_exits_4(self, tmp_path):
         emb = tmp_path / "e.bin"
         conf = tmp_path / "c.txt"

@@ -642,12 +642,28 @@ class TestRowsOnDemand:
     @pytest.mark.parametrize("spread,tau", [(0.05, 0.9), (0.3, 0.7)])
     def test_same_result_as_the_graph(self, monkeypatch, prefetch, balanced, spread, tau):
         monkeypatch.setattr(pruner, "_PREFETCH_ROWS", prefetch)
+        calls, call = [], simgraph.BallStage.__call__
+
+        def recording(stage, ids):
+            calls.append(np.asarray(ids).tolist())
+            return call(stage, ids)
+        monkeypatch.setattr(simgraph.BallStage, "__call__", recording)
         E, C, labels, _ = oracle.random_instance(4, m=700, d=16, c=5, cluster_spread=spread,
                                                  noise_fraction=0.2)
         cfg = SelectionConfig(budget=120, tau=tau, balanced=balanced)
         graphed, rowed, stage = self.both(E, C, labels if balanced else None, cfg)
         same_result(graphed, rowed)
         assert stage.rows < E.m if prefetch < 256 else stage.rows >= 120
+        # no row is computed twice, nor after it was picked: the pick that
+        # makes a call is the first one that no earlier call computed
+        asked = [i for ids in calls for i in ids]
+        assert len(set(asked)) == len(asked) == stage.rows
+        done = set()
+        for ids in calls:
+            first = next(k for k, x in enumerate(rowed.order) if x not in done)
+            assert not set(ids) & set(rowed.order[:first])
+            done.update(ids)
+        assert done >= set(rowed.order)
 
     @pytest.mark.parametrize("balanced", [False, True])
     def test_budget_over_population_is_clamped(self, balanced):

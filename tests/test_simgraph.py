@@ -586,6 +586,18 @@ def clustered(seed, m=400, d=16):
     return random_instance(seed, m=m, d=d, c=6, cluster_spread=0.05, noise_fraction=0.2)[0]
 
 
+def two_balls():
+    """Balls about e1 (rows 0, 2, 5) and e2 (rows 1, 4), and two loose
+    rows: row 3, 60 degrees from e2, leads alone, as does row 6, -e1. At
+    tau 0.6 row 3 lies within ball e2's reach (radius 5 degrees plus the 53
+    degree edge angle), and no later row within ball e1's."""
+    a = math.radians(5.0)
+    return EmbeddingMatrix(np.array([
+        [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
+        [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
+        [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
+
+
 def duplicated(seed=0, n=6, copies=25, d=16):
     """Each of n rows copies times: balls of radius 0."""
     base = np.random.default_rng(seed).standard_normal((n, d))
@@ -634,18 +646,15 @@ class TestPrunedBuild:
         assert first_ball[:2] == (0, 2), "precondition"
         G = build_graph(E, 0.6)
         assert 2 in G.neighbors(0)[0].tolist()
-        assert graph_bytes(G) == graph_bytes(whole_matrix_graph(E, 0.6))
+        W = whole_matrix_graph(E, 0.6)
+        assert graph_bytes(G) == graph_bytes(W)
+        # the rows on demand keep it too
+        for i, (js, ws) in enumerate(simgraph.ball_stage(E, 0.6)([0, 1, 2])):
+            wj, ww = W.neighbors(i)
+            assert js.tobytes() == wj.tobytes() and ws.tobytes() == ww.tobytes(), i
 
     def test_balls_hand_each_group_its_columns(self):
-        # balls about e1 (rows 0, 2, 5) and e2 (rows 1, 4), and two loose
-        # rows: row 3, 60 degrees from e2, leads alone, as does row 6, -e1.
-        # Row 3 lies within ball e2's reach (radius 5 degrees plus the 53
-        # degree edge angle of tau 0.6), and no later row within ball e1's.
-        a = math.radians(5.0)
-        E = EmbeddingMatrix(np.array([
-            [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
-            [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
-            [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
+        E = two_balls()
         U = unit_rows(E)
         order, P, groups, _ = simgraph._balls(U, edge_floor(0.6))
         assert order.tolist() == [0, 2, 5, 1, 4, 3, 6]
@@ -839,21 +848,30 @@ class TestRowSource:
         assert stage.pairs == round(mean * stage.m)
 
     def test_mirror_side_comes_from_earlier_balls(self):
-        # the hand instance of test_balls_hand_each_group_its_columns: row 3,
-        # loose, lies within ball e2's reach, so its row is multiplied
+        # row 3, loose, lies within ball e2's reach, so its row is multiplied
         # against that ball's rows 1 and 4 too, and keeps its edge to row 4
         # (50 degrees), which the build finds from row 4's side
-        a = math.radians(5.0)
-        E = EmbeddingMatrix(np.array([
-            [1, 0, 0], [0, 1, 0], [math.cos(a), math.sin(a), 0],
-            [0, 0.5, math.sqrt(0.75)], [0, math.cos(2 * a), math.sin(2 * a)],
-            [math.cos(a), 0, math.sin(a)], [-1, 0, 0]]))
+        E = two_balls()
         stage = simgraph.ball_stage(E, 0.6)
         G = build_graph(E, 0.6)
         js, ws = stage([3])[0]
         assert js.tolist() == G.neighbors(3)[0].tolist() == [3, 4]
         assert ws.tobytes() == G.neighbors(3)[1].tobytes()
         assert stage.pairs == 2 + 2  # the loose rows 3 and 6, and ball e2's rows 1 and 4
+
+    def test_a_block_takes_the_balls_any_of_its_rows_reach(self):
+        # rows 3 and 6, loose, in one call: row 6 (-e1) is multiplied against
+        # ball e2's rows only because row 3 lies within e2's reach, and those
+        # pairs, far from row 6, fail the edge rule
+        E = two_balls()
+        stage = simgraph.ball_stage(E, 0.6)
+        G = build_graph(E, 0.6)
+        rows = stage([3, 6])
+        for i, (js, ws) in zip([3, 6], rows):
+            gj, gw = G.neighbors(i)
+            assert js.tobytes() == gj.tobytes() and ws.tobytes() == gw.tobytes(), i
+        assert [js.tolist() for js, _ in rows] == [[3, 4], [6]]
+        assert (stage.pairs, stage.edges) == (2 * 4, 3)
 
     @pytest.mark.parametrize("m", [2000, 8000])
     def test_blocks_stay_within_the_cap_whatever_m(self, monkeypatch, m):

@@ -42,15 +42,15 @@ class TestColdPaths:
     def test_tiny_shape_names_the_path_the_rule_takes(self):
         t0 = time.perf_counter()
         run = subprocess.run([sys.executable, str(COLD_PATHS), "1500:8:10:0.05:0.9",
-                              "--budgets", "10,128,1000,2000", "--repeat", "1"],
+                              "--budgets", "10,128,0.1,1000,2000", "--repeat", "1"],
                              capture_output=True, text=True, timeout=60)
         assert time.perf_counter() - t0 < 5.0
         assert run.returncode == 0, run.stderr
         header, *rows = run.stdout.splitlines()
         assert header.split() == ["shape", "budget", "scan", "rows", "build", "ratio", "rule",
                                   "rule/fastest"]
-        # below the scan's cut, then a count ratio below the rows' share and
-        # one above it; a budget above m is skipped
+        # below the scan's cut, then count ratios below the rows' share and
+        # one above it; 0.1 is a tenth of m, and a budget above m is skipped
         assert [(r.split()[1], r.split()[6]) for r in rows] == [
-            ("10", "scan"), ("128", "rows"), ("1000", "built")]
+            ("10", "scan"), ("128", "rows"), ("150", "rows"), ("1000", "built")]
         assert all(float(r.split()[7]) >= 1.0 for r in rows)

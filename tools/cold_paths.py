@@ -6,7 +6,9 @@
 A SHAPE is a preset name (default: all of them) or M:D:C:SPREAD:TAU.
 Its instance is `oracle.random_instance(seed, m=M, d=D, c=C,
 cluster_spread=SPREAD, noise_fraction=0.2)`, selected at tau TAU under
-the plain surrogate rule. For each budget up to m, in this process:
+the plain surrogate rule. A budget below 1, such as 0.2, is that share
+of m, rounded (at least 1), so one list covers the same prune ratios at
+every m. For each budget up to m, in this process:
 
 - scan: `pruner._scan`, one similarity scan per pick;
 - rows: `pruner.select_rows` on a fresh `simgraph.ball_stage`, the ball
@@ -51,6 +53,14 @@ def shape(spec: str) -> tuple[str, tuple]:
             f"{spec!r} is neither a preset ({', '.join(PRESETS)}) nor M:D:C:SPREAD:TAU") from None
 
 
+def budget(tok: str) -> float:
+    """A --budgets token: an integer >= 1, or a share of m in (0, 1)."""
+    b = float(tok)
+    if not (0 < b < 1 or b >= 1 and b.is_integer()):
+        raise ValueError(tok)
+    return b
+
+
 def best_of(repeat: int, run) -> tuple[float, list[int]]:
     """The least wall time of ``repeat`` calls of ``run``, in ms, and the
     order the last call picked."""
@@ -62,9 +72,10 @@ def best_of(repeat: int, run) -> tuple[float, list[int]]:
     return 1e3 * best, order
 
 
-def cells(name: str, spec: tuple, budgets: list[int], seed: int, repeat: int):
-    """One row per budget up to m: (shape, budget, scan, rows, build ms,
-    count ratio, the rule's path, the rule's path over the fastest)."""
+def cells(name: str, spec: tuple, budgets: list[float], seed: int, repeat: int):
+    """One row per budget up to m, a fraction below 1 taken of m: (shape,
+    budget, scan, rows, build ms, count ratio, the rule's path, the rule's
+    path over the fastest)."""
     from relpick import SelectionConfig, oracle, pruner, simgraph
 
     m, d, c, spread, tau = spec
@@ -72,7 +83,8 @@ def cells(name: str, spec: tuple, budgets: list[int], seed: int, repeat: int):
                                         noise_fraction=0.2)
     stage = simgraph.ball_stage(E, tau)
     row_pairs, build_pairs = stage.row_pairs(), stage.build_pairs()
-    for s in (b for b in budgets if b <= m):
+    sizes = [max(1, round(b * m)) if b < 1 else int(b) for b in budgets]
+    for s in (s for s in sizes if s <= m):
         cfg = SelectionConfig(budget=s, tau=tau)
         times = {}
         times["scan"], scanned = best_of(repeat, lambda: pruner._scan(E, C, None, cfg))
@@ -92,16 +104,18 @@ def main(argv=None) -> int:
     p.add_argument("shapes", nargs="*", type=shape, default=[shape(n) for n in PRESETS],
                    help=f"presets ({', '.join(PRESETS)}) or M:D:C:SPREAD:TAU")
     p.add_argument("--budgets", default="100,256,512,1024,4000",
-                   help="comma-separated budgets; those above m are skipped")
+                   help="comma-separated budgets, a token below 1 a share of m; "
+                        "those above m are skipped")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeat", type=int, default=2, help="runs of the scan and the rows")
     args = p.parse_args(argv)
     try:
-        budgets = [int(tok) for tok in args.budgets.split(",")]
+        budgets = [budget(tok) for tok in args.budgets.split(",")]
     except ValueError:
-        p.error(f"--budgets must be comma-separated integers, got {args.budgets!r}")
-    if args.repeat < 1 or min(budgets) < 1:
-        p.error("--repeat and every budget must be >= 1")
+        p.error(f"--budgets must be comma-separated integers >= 1 or shares of m in (0, 1), "
+                f"got {args.budgets!r}")
+    if args.repeat < 1:
+        p.error("--repeat must be >= 1")
     print(f"{'shape':24s} {'budget':>6s} {'scan':>8s} {'rows':>8s} {'build':>8s} "
           f"{'ratio':>7s}  rule   rule/fastest", flush=True)
     for name, spec in args.shapes:
