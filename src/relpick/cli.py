@@ -21,6 +21,7 @@ from .dataspec import (
     ConfidenceVector,
     ProbabilityMatrix,
     SelectionConfig,
+    check_tau,
     confidence_from_probs,
     ingest_embeddings,
     load_confidences,
@@ -52,10 +53,17 @@ def _load_embeddings(args):
     return ingest_embeddings(args.embeddings, average_groups=args.average_groups)
 
 
+def _selection_config(args, **fields) -> SelectionConfig:
+    """The run's SelectionConfig from --budget and --utility, and ``fields``.
+    Every usage error of select and oracle is refused here, before any
+    file is read."""
+    if args.confidences and args.metric:
+        raise ConfigError("--metric applies only to --probs")
+    return SelectionConfig(budget=args.budget, utility=args.utility, **fields)
+
+
 def _load_confidence(args) -> ConfidenceVector:
     if args.confidences:
-        if args.metric:
-            raise ConfigError("--metric applies only to --probs")
         return load_confidences(args.confidences)
     return confidence_from_probs(ProbabilityMatrix(read_matrix(args.probs)),
                                  metric=args.metric or "maxprob")
@@ -77,6 +85,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_graph(args) -> int:
+    check_tau(args.tau)  # a usage error, refused before the file is read
     E = _load_embeddings(args)
     G = simgraph.build_graph(E, args.tau)
     if args.out:
@@ -88,13 +97,8 @@ def cmd_graph(args) -> int:
 def cmd_select(args) -> int:
     # every input is checked before the graph is built or loaded, the slow
     # part of a run
-    cfg = SelectionConfig(
-        budget=args.budget,
-        tau=DEFAULT_TAU if args.tau is None else args.tau,
-        utility=args.utility,
-        rule=args.rule,
-        balanced=args.balanced,
-    )
+    cfg = _selection_config(args, tau=DEFAULT_TAU if args.tau is None else args.tau,
+                            rule=args.rule, balanced=args.balanced)
     E = _load_embeddings(args)
     C = _load_confidence(args)
     labels = load_labels(args.labels) if args.labels else None
@@ -116,8 +120,7 @@ def cmd_select(args) -> int:
 
 def cmd_oracle(args) -> int:
     # the inputs and the enumeration guard are checked before the build
-    if args.budget < 1:  # a usage error, as in select, refused before any file is read
-        raise ConfigError(f"budget must be >= 1, got {args.budget}")
+    _selection_config(args, tau=args.tau)
     E = _load_embeddings(args)
     C = _load_confidence(args)
     pruner.check_inputs(E.m, C)
@@ -156,7 +159,7 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     The engine takes the path a cold ``relpick select`` takes. Below 128
     steps that is the similarity scan, whose steps each cost one O(m d)
     rescan. From 128 on it is the rows on demand, whose steps are uneven
-    (the one step per prefetch call, ``pruner._PREFETCH_ROWS`` picks,
+    (the one step per prefetch call, up to ``pruner._PREFETCH_ROWS`` picks,
     carries the work, and the steps between cost an argmax and a row
     slice), or the whole graph, built before the first step. The ball
     stage and the build are timed in no step. Every size is checked

@@ -46,6 +46,12 @@ SELECTION_RULES = ("surrogate", "exact", "lazy")
 DEFAULT_TAU = 0.975  # the similarity threshold when none is given
 
 
+def check_tau(tau: float) -> None:
+    """Refuse a similarity threshold outside (0, 1] with a ConfigError."""
+    if not (0.0 < tau <= 1.0):
+        raise ConfigError(f"tau must lie in (0, 1], got {tau}")
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -199,8 +205,7 @@ class SelectionConfig:
             raise ConfigError(f"budget must be an integer, got {self.budget!r}") from None
         if self.budget < 1:
             raise ConfigError(f"budget must be >= 1, got {self.budget}")
-        if not (0.0 < self.tau <= 1.0):
-            raise ConfigError(f"tau must lie in (0, 1], got {self.tau}")
+        check_tau(self.tau)
         if self.utility not in UTILITY_KINDS:
             raise ConfigError(f"unknown utility {self.utility!r}, expected one of {UTILITY_KINDS}")
         if self.rule not in SELECTION_RULES:

@@ -6,9 +6,10 @@ is a non-decreasing concave utility with u(0) = 0 (tanh by default).
 
 Every selection runs one greedy loop, ``_greedy``, built from a neighbor
 provider and a pick policy. The provider adds each pick's weighted
-confidence to the accumulator: a CSR row slice of a prebuilt graph
-(``select``), graph rows computed as the picks need them (``select_rows``),
-or an O(m d) on-the-fly similarity scan.
+confidence to the accumulator: ``_graph_rows``, the one sparse update,
+over a row source, the CSR row slices of a prebuilt graph or graph rows
+computed as the picks need them (both through ``select``), or an O(m d)
+on-the-fly similarity scan.
 Only the loop knows the label classes: it forms the groups, all rows or
 one per present class (balanced), takes them round-robin, drops a class
 once all its rows are picked, and names to the policy the group to pick
@@ -30,17 +31,19 @@ temporaries stay bounded whatever m. A surrogate step costs a refresh
 over the pick's neighbors plus one O(m) argmax; the similarity scan's
 update is dense, so its step stays O(m d), the same at every step. On
 rows computed on demand the steps are uneven: the step whose pick has
-no row yet makes one call of the ball stage for _PREFETCH_ROWS rows and
-carries the work of the steps after it.
+no row yet makes one call of the ball stage for up to _PREFETCH_ROWS
+rows and carries the work of the steps after it.
 
-``select_rows`` runs the surrogate rule, plain or balanced, on the rows
-that a ``simgraph.BallStage`` computes on demand. A surrogate step reads
-the pick's row alone, and the policy keeps every self gain exact, so
-``_rows_on_demand`` computes a row only when it is picked, together with
-the _PREFETCH_ROWS - 1 rows of highest gain that have none (one stage
-call), and drops it once picked.
-The rows equal ``build_graph``'s, so the order, gains, trace, config and
-warnings equal ``select``'s on the built graph, bit for bit.
+``select`` on a ``simgraph.BallStage`` runs the surrogate rule, plain or
+balanced, on the rows that the stage computes on demand. A surrogate
+step reads the pick's row alone, and the policy keeps every self gain
+exact in the gains array that ``select`` hands to both, so the row
+source ``_rows_on_demand`` computes a row only when it is picked,
+together with the rows of highest gain that have none, up to
+_PREFETCH_ROWS in all and no more than the picks still to make (one
+stage call), and drops it once picked. The rows equal
+``build_graph``'s, so the order, gains, trace, config and warnings
+equal ``select``'s on the built graph, bit for bit.
 
 ``select_embeddings`` is the one entry point for a cold run, from
 embeddings with no graph at hand. It chooses the path by one rule and
@@ -72,7 +75,7 @@ updated over neighbors in index order, so runs are deterministic.
 
 ``check_inputs`` is the one check that the confidence, label and
 noise-flag vectors hold one entry per example, and that balanced
-selection has labels. ``select``, ``select_rows``, ``select_embeddings``,
+selection has labels. ``select``, ``select_embeddings``,
 ``evaluate_subset``, the reference accumulator ``recompute_cn`` (and
 ``objective`` through it) and the oracle's scorers call it before any
 work, and the CLI calls it before it builds or loads a graph.
@@ -267,14 +270,14 @@ def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
     return gains_at
 
 
-def _best_of(gains_at, m: int):
-    """Pick policy over one gains array of the m rows, kept across steps:
-    ``gains_at`` fills it at the first step and refreshes it where the
-    last update moved cn, -inf once taken (``taken`` marks the picks).
+def _best_of(gains_at, gains: np.ndarray):
+    """Pick policy over ``gains``, one array of the m rows kept across
+    steps: ``gains_at`` fills it at the first step and refreshes it where
+    the last update moved cn, -inf once taken (``taken`` marks the picks).
     It picks the candidate of highest gain among ``ids``, the rows of the
     group k whose turn it is; one array serves every group, so k goes
-    unused."""
-    gains, taken = np.empty(m), np.zeros(m, dtype=bool)
+    unused. The caller owns ``gains`` and may read it between steps."""
+    m, taken = gains.size, np.zeros(gains.size, dtype=bool)
 
     def pick(cn: np.ndarray, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
         fresh = gains_at(cn, moved)
@@ -285,7 +288,6 @@ def _best_of(gains_at, m: int):
         g, gains[x] = float(gains[x]), -np.inf  # also when the update does not reach x
         taken[x] = True
         return x, g
-    pick.gains = gains  # read by ``_rows_on_demand``
     return pick
 
 
@@ -323,37 +325,39 @@ def _celf(gains_at):
 # Neighbor providers add pick x's weighted confidence w(., x) C[x] to the
 # accumulator and return (rows, inc): they added inc to cn[rows].
 
-def _graph_rows(G: NeighborGraph, conf: np.ndarray):
+def _graph_rows(neighbors, conf: np.ndarray):
+    """The sparse update, over the row source ``neighbors(x) -> (ids,
+    weights)``: a CSR graph's ``neighbors``, or ``_rows_on_demand``."""
     def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-        js, ws = G.neighbors(x)
+        js, ws = neighbors(x)
         inc = ws.astype(np.float64) * conf[x]
         cn[js] += inc
         return js, inc
     return update
 
 
-def _rows_on_demand(stage: BallStage, conf: np.ndarray, gains: np.ndarray):
-    """Rows from ``stage`` as the picks need them: when the pick has no
-    row yet, it is computed with the _PREFETCH_ROWS - 1 rows of highest
-    gain in ``gains`` (``_best_of``'s) that are free, in one ``stage``
-    call. A row is held until it is picked; a picked row's gain is -inf,
-    so a row is free unless it is held or picked, and none is computed
+def _rows_on_demand(stage: BallStage, gains: np.ndarray, budget: int):
+    """A row source over ``stage``: when the pick x has no row yet, it is
+    computed with the rows of highest gain in ``gains`` (``_best_of``'s)
+    that are free, in one ``stage`` call of at most _PREFETCH_ROWS rows
+    and at most the picks still to make of the budget (clamped to m).
+    A row is held until it is picked; a picked row's gain is -inf, so a
+    row is free unless it is held or picked, and none is computed
     twice."""
-    held = {}
+    held, left = {}, min(budget, stage.m)  # left: the picks still to make, x's included
 
-    def update(cn: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    def neighbors(x: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal left
         if x not in held:
             free = gains.copy()  # a picked row's gain is -inf, x's included
             free[list(held)] = -np.inf
-            k = min(_PREFETCH_ROWS, len(free)) - 1
+            k = min(_PREFETCH_ROWS, left) - 1
             top = np.argpartition(-free, k)[:k]  # the k highest
             ids = np.append(top[free[top] > -np.inf], x)
             held.update(zip(ids.tolist(), stage(ids)))
-        js, ws = held.pop(x)
-        inc = ws.astype(np.float64) * conf[x]
-        cn[js] += inc
-        return js, inc
-    return update
+        left -= 1
+        return held.pop(x)
+    return neighbors
 
 
 def _similarity_scan(U: np.ndarray, conf: np.ndarray, tau: float):
@@ -413,50 +417,41 @@ def _greedy(m: int, cfg: SelectionConfig, u: Utility, labels: LabelVector | None
 
 
 def select(
-    G: NeighborGraph,
+    G: NeighborGraph | BallStage,
     C: ConfidenceVector,
     labels: LabelVector | None,
     cfg: SelectionConfig,
 ) -> SelectionResult:
-    """Run the configured greedy selection and return the full trace.
-    The inputs are checked first by ``check_inputs``."""
+    """Run the configured greedy selection and return the full trace. G
+    is a graph, or a ``simgraph.BallStage`` whose rows are computed as
+    the picks need them (``_rows_on_demand``), the surrogate rule alone:
+    the same result as on ``G.graph()``, bit for bit, and the stage
+    counts the rows, edges and pairs. A surrogate step reads the pick's
+    row alone, and ``_best_of`` keeps every self gain exact, so no other
+    row is needed. The inputs are checked first by ``check_inputs``."""
     check_inputs(G.m, C, labels, cfg)
+    if cfg.rule != "surrogate" and isinstance(G, BallStage):
+        raise ConfigError("rows on demand serve only the surrogate rule")
     if cfg.rule != "surrogate" and not np.diff(G.indptr).all():
         raise DataError("exact marginals need every graph row to hold its self-loop")
     cfg = replace(cfg, tau=G.tau)  # the graph decides the edges, so record its tau
-    u = utility_from_config(cfg)
+    u, gains = utility_from_config(cfg), np.empty(G.m)
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
-        pick = _best_of(_self_gains(C.values, u), G.m)
+        pick = _best_of(_self_gains(C.values, u), gains)
     else:  # exact and lazy: one CELF computation
         pick = _celf(_exact_gains(G, C.values, u))
-    return _greedy(G.m, cfg, u, labels, pick, _graph_rows(G, C.values))
+    rows = G.neighbors if isinstance(G, NeighborGraph) else _rows_on_demand(G, gains, cfg.budget)
+    return _greedy(G.m, cfg, u, labels, pick, _graph_rows(rows, C.values))
 
 
 def rows_pay(stage: BallStage, cfg: SelectionConfig) -> bool:
-    """Whether ``select_rows`` on ``stage`` is the cheaper way to run
-    ``cfg``: the surrogate rule, and the candidate pairs of as many rows
-    as the budget below _ROWS_SHARE of the pairs that building the whole
-    graph multiplies."""
+    """Whether ``select`` on ``stage`` is the cheaper way to run ``cfg``
+    than on ``stage.graph()``: the surrogate rule, and the candidate
+    pairs of as many rows as the budget below _ROWS_SHARE of the pairs
+    that building the whole graph multiplies."""
     budget = min(cfg.budget, stage.m)
     return (cfg.rule == "surrogate"
             and budget * stage.row_pairs() < _ROWS_SHARE * stage.build_pairs())
-
-
-def select_rows(stage: BallStage, C: ConfidenceVector, labels: LabelVector | None,
-                cfg: SelectionConfig) -> SelectionResult:
-    """Surrogate selection, plain or balanced, on graph rows that ``stage``
-    computes as the picks need them (``_rows_on_demand``): the same result
-    as ``select`` on ``stage.graph()``, bit for bit, and ``stage`` counts
-    the rows, edges and pairs. A surrogate step reads the pick's row alone,
-    and ``_best_of`` keeps every self gain exact, so no other row is
-    needed."""
-    if cfg.rule != "surrogate":
-        raise ConfigError("rows on demand serve only the surrogate rule")
-    check_inputs(stage.m, C, labels, cfg)
-    cfg = replace(cfg, tau=stage.tau)
-    u = utility_from_config(cfg)
-    pick = _best_of(_self_gains(C.values, u), stage.m)
-    return _greedy(stage.m, cfg, u, labels, pick, _rows_on_demand(stage, C.values, pick.gains))
 
 
 def _scan(E, C: ConfidenceVector, labels: LabelVector | None,
@@ -465,8 +460,8 @@ def _scan(E, C: ConfidenceVector, labels: LabelVector | None,
     balanced, on one similarity scan per pick, and no graph."""
     cfg = replace(cfg, tau=float(cfg.tau))
     u = utility_from_config(cfg)
-    update = _similarity_scan(unit_rows(E), C.values, cfg.tau)
-    result = _greedy(E.m, cfg, u, labels, _best_of(_self_gains(C.values, u), E.m), update)
+    pick = _best_of(_self_gains(C.values, u), np.empty(E.m))
+    result = _greedy(E.m, cfg, u, labels, pick, _similarity_scan(unit_rows(E), C.values, cfg.tau))
     return replace(result, graph={"source": "scan", "tau": cfg.tau})
 
 
@@ -483,13 +478,11 @@ def select_embeddings(E, C: ConfidenceVector, labels: LabelVector | None,
     if cfg.rule == "surrogate" and min(cfg.budget, E.m) < _PREFETCH_ROWS // 2:
         return _scan(E, C, labels, cfg)
     stage = ball_stage(E, cfg.tau)
-    if rows_pay(stage, cfg):
-        result = select_rows(stage, C, labels, cfg)
-        return replace(result, graph={"source": "rows", "tau": stage.tau, "rows": stage.rows,
-                                      "edges": stage.edges, "pairs": stage.pairs})
-    G = stage.graph()
-    return replace(select(G, C, labels, cfg),
-                   graph={"source": "built", **graph_summary(G), "pairs": stage.pairs})
+    G = stage if rows_pay(stage, cfg) else stage.graph()
+    result = select(G, C, labels, cfg)
+    about = ({"source": "rows", "tau": stage.tau, "rows": stage.rows, "edges": stage.edges}
+             if G is stage else {"source": "built", **graph_summary(G)})
+    return replace(result, graph={**about, "pairs": stage.pairs})
 
 
 def select_streaming(E, C: ConfidenceVector, cfg: SelectionConfig) -> SelectionResult:

@@ -83,8 +83,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
-from .dataspec import EmbeddingMatrix
+from .errors import DataError, FormatError
+from .dataspec import EmbeddingMatrix, check_tau
 
 GRAPH_MAGIC = b"RELGRPH2"
 
@@ -404,8 +404,7 @@ class BallStage:
 
 def ball_stage(E: EmbeddingMatrix, tau: float) -> BallStage:
     """The ball stage that ``build_graph`` and the rows on demand start from."""
-    if not (0.0 < tau <= 1.0):
-        raise ConfigError(f"tau must lie in (0, 1], got {tau}")
+    check_tau(tau)
     floor = edge_floor(tau)
     return BallStage(float(tau), floor, *_balls(unit_rows(E), floor))
 

@@ -107,8 +107,8 @@ def test_criterion_4_surrogate_fidelity(monkeypatch):
     the argmax confidence, for every valid utility. 200 instances."""
     seen, graph_rows = [], pruner._graph_rows
 
-    def copying_rows(G, conf):  # the engine's update, copying cn after each pick
-        update = graph_rows(G, conf)
+    def copying_rows(neighbors, conf):  # the engine's update, copying cn after each pick
+        update = graph_rows(neighbors, conf)
 
         def copied(cn, x):
             rows_inc = update(cn, x)

@@ -60,9 +60,11 @@ class TestGraphCommand:
         main(["graph", "--embeddings", emb, "--tau", "0.5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_tau_out_of_range_exits_2(self, fixture_files):
-        _, emb, _ = fixture_files
-        assert main(["graph", "--embeddings", emb, "--tau", "1.5"]) == 2
+    def test_tau_out_of_range_exits_2(self, tmp_path, capsys):
+        # refused before the file is read: a missing file exited 3
+        assert main(["graph", "--embeddings", str(tmp_path / "missing.bin"),
+                     "--tau", "1.5"]) == 2
+        assert capsys.readouterr().err == "relpick: error: tau must lie in (0, 1], got 1.5\n"
 
     def test_average_groups_checked_before_the_file_is_read(self, tmp_path, capsys):
         rc = main(["graph", "--embeddings", str(tmp_path / "missing.bin"), "--tau", "0.5",
@@ -322,21 +324,24 @@ class TestSelectCommand:
             "cache": {"source": "cache", **summary},
             "scan": {"source": "scan", "tau": 0.3}}[source]
 
-    def test_rows_result_records_rows_edges_and_pairs(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_rows_result_records_rows_edges_and_pairs(self, tmp_path, monkeypatch, capsys,
+                                                      budget):
         # 16 orthogonal rows, one loose group: one pick's row costs 16 pairs
         # against the build's one block of 16 by 16, so past the scan's cut
-        # (here at one pick) the rows are computed on demand, 2 per call:
-        # the pick and the row of next highest gain
+        # (here at one pick) the rows are computed on demand, up to 2 per
+        # call and no more than the picks left: the pick and, at budget 2,
+        # the row of next highest gain
         monkeypatch.setattr(pruner, "_PREFETCH_ROWS", 2)
         emb, conf = tmp_path / "e.bin", tmp_path / "c.txt"
         write_matrix_binary(emb, np.eye(16, dtype=np.float32))
         write_vector_text(conf, np.linspace(0.1, 0.9, 16))
         assert main(["select", "--embeddings", str(emb), "--confidences", str(conf),
-                     "--budget", "1", "--tau", "0.3"]) == 0
+                     "--budget", str(budget), "--tau", "0.3"]) == 0
         result = json.loads(capsys.readouterr().out)
-        assert result["graph"] == {"source": "rows", "tau": 0.3, "rows": 2, "edges": 2,
-                                   "pairs": 2 * 16}
-        assert result["order"] == [15]
+        assert result["graph"] == {"source": "rows", "tau": 0.3, "rows": budget,
+                                   "edges": budget, "pairs": budget * 16}
+        assert result["order"] == [15, 14][:budget]
 
     @pytest.mark.parametrize("balanced", [False, True])
     def test_rows_and_build_paths_write_the_same_result(self, tmp_path, monkeypatch, capsys,
@@ -465,6 +470,16 @@ class TestOracleCommand:
         assert capsys.readouterr().err == said == (
             f"relpick: error: budget must be >= 1, got {budget}\n")
 
+    def test_tau_out_of_range_exits_2_before_the_size_guard(self, tmp_path, capsys):
+        # exited 4 with the size guard's message, which the bad tau never reached
+        emb, conf = tmp_path / "e.bin", tmp_path / "c.txt"
+        rows = np.random.default_rng(0).standard_normal((300, 4)).astype(np.float32)
+        write_matrix_binary(emb, rows)
+        write_vector_text(conf, np.full(300, 0.5))
+        assert main(["oracle", "--embeddings", str(emb), "--confidences", str(conf),
+                     "--budget", "10", "--tau", "2"]) == 2
+        assert capsys.readouterr().err == "relpick: error: tau must lie in (0, 1], got 2.0\n"
+
     def test_budget_above_m_exits_3(self, fixture_files, capsys):
         _, emb, conf = fixture_files
         assert main(["oracle", "--embeddings", emb, "--confidences", conf,
@@ -503,15 +518,11 @@ class TestMetricFlag:
     """--metric derives confidences from --probs and means nothing without it."""
 
     @pytest.mark.parametrize("command", ["select", "oracle"])
-    def test_metric_with_confidences_exits_2(self, fixture_files, monkeypatch, capsys,
-                                             command):
-        _, emb, conf = fixture_files
-
-        def no_build(*_):
-            raise AssertionError("graph built before the checks")
-        monkeypatch.setattr(simgraph, "build_graph", no_build)
-        rc = main([command, "--embeddings", emb, "--confidences", conf, "--metric", "maxprob",
-                   "--budget", "1", "--tau", "0.5"])
+    def test_metric_with_confidences_exits_2(self, tmp_path, capsys, command):
+        # refused before any file is read: a missing embeddings file exited 3
+        missing = str(tmp_path / "missing")
+        rc = main([command, "--embeddings", missing, "--confidences", missing,
+                   "--metric", "maxprob", "--budget", "1", "--tau", "0.5"])
         assert rc == 2
         assert capsys.readouterr().err == "relpick: error: --metric applies only to --probs\n"
 

@@ -539,8 +539,8 @@ class TestSelect:
     def test_accumulator_matches_scratch_recompute(self, monkeypatch):
         seen, graph_rows = [], pruner._graph_rows
 
-        def copying_rows(G, conf):  # the engine's update, copying cn after each pick
-            update = graph_rows(G, conf)
+        def copying_rows(neighbors, conf):  # the engine's update, copying cn after each pick
+            update = graph_rows(neighbors, conf)
 
             def copied(cn, x):
                 rows_inc = update(cn, x)
@@ -548,11 +548,15 @@ class TestSelect:
                 return rows_inc
             return copied
         monkeypatch.setattr(pruner, "_graph_rows", copying_rows)
-        E, C, _, _ = oracle.random_instance(6, m=50, d=6, c=4, cluster_spread=0.3)
+        E, C, labels, _ = oracle.random_instance(6, m=50, d=6, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
-        for rule in ("surrogate", "exact", "lazy"):
+        runs = [(G, rule, False) for rule in ("surrogate", "exact", "lazy")]
+        runs += [(simgraph.ball_stage(E, 0.6), "surrogate", balanced)  # rows on demand
+                 for balanced in (False, True)]
+        for source, rule, balanced in runs:
             seen.clear()
-            r = select(G, C, None, SelectionConfig(budget=20, tau=0.6, rule=rule))
+            r = select(source, C, labels if balanced else None,
+                       SelectionConfig(budget=20, tau=0.6, rule=rule, balanced=balanced))
             assert len(seen) == len(r.order) == 20
             for k, cn in enumerate(seen):
                 np.testing.assert_allclose(cn, recompute_cn(G, C, r.order[: k + 1]), atol=1e-9)
@@ -628,14 +632,14 @@ def same_result(a, b):
 
 
 class TestRowsOnDemand:
-    """``select_rows`` on rows computed as the picks need them returns what
-    ``select`` returns on the whole graph."""
+    """``select`` on a ball stage, whose rows are computed as the picks need
+    them, returns what ``select`` returns on the whole graph."""
 
     @staticmethod
     def both(E, C, labels, cfg):
         graphed = select(build_graph(E, cfg.tau), C, labels, cfg)
         stage = simgraph.ball_stage(E, cfg.tau)
-        return graphed, pruner.select_rows(stage, C, labels, cfg), stage
+        return graphed, select(stage, C, labels, cfg), stage
 
     @pytest.mark.parametrize("prefetch", [1, 7, 256])
     @pytest.mark.parametrize("balanced", [False, True])
@@ -654,14 +658,16 @@ class TestRowsOnDemand:
         graphed, rowed, stage = self.both(E, C, labels if balanced else None, cfg)
         same_result(graphed, rowed)
         assert stage.rows < E.m if prefetch < 256 else stage.rows >= 120
-        # no row is computed twice, nor after it was picked: the pick that
-        # makes a call is the first one that no earlier call computed
+        # no row is computed twice, nor after it was picked, and no call asks
+        # for more rows than picks are left: the pick that makes a call is
+        # the first one that no earlier call computed
         asked = [i for ids in calls for i in ids]
         assert len(set(asked)) == len(asked) == stage.rows
         done = set()
         for ids in calls:
             first = next(k for k, x in enumerate(rowed.order) if x not in done)
             assert not set(ids) & set(rowed.order[:first])
+            assert len(ids) <= cfg.budget - first
             done.update(ids)
         assert done >= set(rowed.order)
 
@@ -693,8 +699,8 @@ class TestRowsOnDemand:
         E, C, _ = orthogonal3
         stage = simgraph.ball_stage(E, 0.5)
         for rule in ("exact", "lazy"):
-            with pytest.raises(ConfigError):
-                pruner.select_rows(stage, C, None, SelectionConfig(budget=1, rule=rule))
+            with pytest.raises(ConfigError, match="rows on demand serve only the surrogate"):
+                select(stage, C, None, SelectionConfig(budget=1, rule=rule))
 
     def test_rows_pay_on_a_small_budget_and_the_surrogate_rule_only(self):
         # the candidate pairs of s rows against the build's: about 2 s / m

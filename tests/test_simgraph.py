@@ -22,7 +22,7 @@ from relpick import (
 )
 from relpick.errors import FormatError
 from relpick.oracle import naive_objective, random_instance
-from relpick.pruner import select_streaming
+from relpick.pruner import select, select_streaming
 from relpick.simgraph import (
     NeighborGraph,
     edge_floor,
@@ -900,7 +900,9 @@ class TestRowSource:
         E = clustered(1, m=60)
         stage = simgraph.ball_stage(E, 0.9)
         stage.graph()
-        uses = [stage.build_pairs, stage.row_pairs, stage.graph, lambda: stage([0])]
+        C = ConfidenceVector(np.full(E.m, 0.5))
+        uses = [stage.build_pairs, stage.row_pairs, stage.graph, lambda: stage([0]),
+                lambda: select(stage, C, None, SelectionConfig(budget=1, tau=0.9))]
         for use in uses:
             with pytest.raises(RuntimeError, match="used up by graph"):
                 use()

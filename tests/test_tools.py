@@ -4,6 +4,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 PICK_DIGESTS = ROOT / "tools" / "pick_digests.py"
 COLD_PATHS = ROOT / "tools" / "cold_paths.py"
@@ -46,7 +48,7 @@ class TestColdPaths:
                              capture_output=True, text=True, timeout=60)
         assert time.perf_counter() - t0 < 5.0
         assert run.returncode == 0, run.stderr
-        header, *rows = run.stdout.splitlines()
+        header, *rows, total = run.stdout.splitlines()
         assert header.split() == ["shape", "budget", "scan", "rows", "build", "ratio", "rule",
                                   "rule/fastest"]
         # below the scan's cut, then count ratios below the rows' share and
@@ -54,3 +56,13 @@ class TestColdPaths:
         assert [(r.split()[1], r.split()[6]) for r in rows] == [
             ("10", "scan"), ("128", "rows"), ("150", "rows"), ("1000", "built")]
         assert all(float(r.split()[7]) >= 1.0 for r in rows)
+        # the total row sums the printed cells, each within its rounding
+        ms = [dict(zip(("scan", "rows", "built"), map(float, r.split()[2:5]))) for r in rows]
+        rule = sum(m[r.split()[6]] for m, r in zip(ms, rows))
+        fastest = sum(min(m.values()) for m in ms)
+        name, dash, *sums, dash2, rule_ms, ratio = total.split()
+        assert (name, dash, dash2) == ("total", "-", "-")
+        for got, want in zip(map(float, sums + [rule_ms]),
+                             [sum(m[k] for m in ms) for k in ("scan", "rows", "built")] + [rule]):
+            assert abs(got - want) <= 0.05 * (len(rows) + 1)
+        assert float(ratio) == pytest.approx(rule / fastest, rel=0.02, abs=0.01)

@@ -11,8 +11,8 @@ of m, rounded (at least 1), so one list covers the same prune ratios at
 every m. For each budget up to m, in this process:
 
 - scan: `pruner._scan`, one similarity scan per pick;
-- rows: `pruner.select_rows` on a fresh `simgraph.ball_stage`, the ball
-  stage included;
+- rows: `pruner.select` on a fresh `simgraph.ball_stage`, whose rows are
+  computed as the picks need them, the ball stage included;
 - build: `simgraph.build_graph`, then `pruner.select`, the build included;
 
 the scan and the rows are timed as the best of --repeat runs, the build
@@ -21,7 +21,10 @@ that `pruner.rows_pay` compares with `pruner._ROWS_SHARE` (the budget
 times `BallStage.row_pairs`, over `BallStage.build_pairs`), the path
 `pruner.select_embeddings` takes, and its time against the fastest path.
 
-Prints one row per (shape, budget), with times in ms.
+Prints one row per (shape, budget), with times in ms, then a `total` row:
+the summed ms of the scan, rows and build columns and of the rule's path
+(in the rule column), and the rule's sum over the sum of each row's
+fastest path.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def cells(name: str, spec: tuple, budgets: list[float], seed: int, repeat: int):
         cfg = SelectionConfig(budget=s, tau=tau)
         times = {}
         times["scan"], scanned = best_of(repeat, lambda: pruner._scan(E, C, None, cfg))
-        times["rows"], rowed = best_of(repeat, lambda: pruner.select_rows(
+        times["rows"], rowed = best_of(repeat, lambda: pruner.select(
             simgraph.ball_stage(E, tau), C, None, cfg))
         times["built"], built = best_of(1, lambda: pruner.select(
             simgraph.build_graph(E, tau), C, None, cfg))
@@ -118,10 +121,16 @@ def main(argv=None) -> int:
         p.error("--repeat must be >= 1")
     print(f"{'shape':24s} {'budget':>6s} {'scan':>8s} {'rows':>8s} {'build':>8s} "
           f"{'ratio':>7s}  rule   rule/fastest", flush=True)
+    sums = [0.0] * 5  # scan, rows, build, the rule's path, the fastest path
     for name, spec in args.shapes:
         for row in cells(name, spec, budgets, args.seed, args.repeat):
             print("{:24s} {:6d} {:8.1f} {:8.1f} {:8.1f} {:7.3f}  {:6s} {:.2f}".format(*row),
                   flush=True)
+            ms = dict(zip(("scan", "rows", "built"), row[2:5]))
+            for k, v in enumerate([*ms.values(), ms[row[6]], min(ms.values())]):
+                sums[k] += v
+    print("{:24s} {:>6s} {:8.1f} {:8.1f} {:8.1f} {:>7s}  {:<6.1f} {:.2f}".format(
+        "total", "-", *sums[:3], "-", sums[3], sums[3] / sums[4] if sums[4] else 1.0))
     return 0
 
 
