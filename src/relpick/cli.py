@@ -77,6 +77,13 @@ def _read_order(path: str):
         raise FormatError(f"{path}: not a selection result with an 'order' key ({e})") from None
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path whose directory does not exist (exit 3), so
+    that a run fails before its work rather than at the write."""
+    if out and not Path(out).parent.is_dir():
+        raise DataError(f"--out {out}: no such directory {Path(out).parent}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
@@ -86,6 +93,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_graph(args) -> int:
     check_tau(args.tau)  # a usage error, refused before the file is read
+    _check_out(args.out)
     E = _load_embeddings(args)
     G = simgraph.build_graph(E, args.tau)
     if args.out:
@@ -99,6 +107,7 @@ def cmd_select(args) -> int:
     # part of a run
     cfg = _selection_config(args, tau=DEFAULT_TAU if args.tau is None else args.tau,
                             rule=args.rule, balanced=args.balanced)
+    _check_out(args.out)
     E = _load_embeddings(args)
     C = _load_confidence(args)
     labels = load_labels(args.labels) if args.labels else None
@@ -109,6 +118,7 @@ def cmd_select(args) -> int:
             raise DataError(f"graph size {m} does not match {E.m} embeddings")
         if args.tau is not None and args.tau != tau:
             raise ConfigError(f"--tau {args.tau} differs from the graph cache's tau {tau}")
+        del E  # the cache holds all that a selection reads: free the matrix before the load
         G = simgraph.load_graph(args.graph)
         result = replace(pruner.select(G, C, labels, cfg),
                          graph={"source": "cache", **simgraph.graph_summary(G)})
@@ -121,6 +131,7 @@ def cmd_select(args) -> int:
 def cmd_oracle(args) -> int:
     # the inputs and the enumeration guard are checked before the build
     _selection_config(args, tau=args.tau)
+    _check_out(args.out)
     E = _load_embeddings(args)
     C = _load_confidence(args)
     pruner.check_inputs(E.m, C)
@@ -152,6 +163,25 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _bench_config(sizes, d, steps, seed, tau) -> SelectionConfig:
+    """The bench's SelectionConfig. Every usage error of ``run_bench``,
+    each size's included, is refused here, before any instance is made."""
+    if d < 1:
+        raise ConfigError(f"bench d must be >= 1, got {d}")
+    if seed < 0:
+        raise ConfigError(f"bench seed must be >= 0, got {seed}")
+    cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
+    for m in sizes:
+        if m < BENCH_MIN_M:
+            raise ConfigError(
+                f"bench needs m >= {BENCH_MIN_M} for stable timings; "
+                f"got {m} (use the test suite for small instances)"
+            )
+        if steps > m:
+            raise ConfigError(f"steps {steps} exceeds m {m}")
+    return cfg
+
+
 def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     """Per-step selection timings for the greedy engine
     (``pruner.select_embeddings``, surrogate rule) vs k-center.
@@ -166,19 +196,7 @@ def run_bench(sizes, d=32, steps=100, seed=0, tau=0.8):
     before the first one runs. Returns a list of {algorithm, m, step,
     seconds} rows.
     """
-    if d < 1:
-        raise ConfigError(f"bench d must be >= 1, got {d}")
-    if seed < 0:
-        raise ConfigError(f"bench seed must be >= 0, got {seed}")
-    cfg = SelectionConfig(budget=steps, tau=tau, rule="surrogate")
-    for m in sizes:  # every size is checked before any runs
-        if m < BENCH_MIN_M:
-            raise ConfigError(
-                f"bench needs m >= {BENCH_MIN_M} for stable timings; "
-                f"got {m} (use the test suite for small instances)"
-            )
-        if steps > m:
-            raise ConfigError(f"steps {steps} exceeds m {m}")
+    cfg = _bench_config(sizes, d, steps, seed, tau)
     rows = []
     for m in sizes:
         E, C, labels, _ = oracle.random_instance(
@@ -198,6 +216,8 @@ def cmd_bench(args) -> int:
         sizes = [int(tok) for tok in args.sizes.split(",")]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    _bench_config(sizes, args.d, args.steps, args.seed, args.tau)  # usage errors first
+    _check_out(args.out)
     rows = run_bench(sizes, d=args.d, steps=args.steps, seed=args.seed, tau=args.tau)
     lines = ["algorithm,m,step,seconds"]
     lines += [f"{r['algorithm']},{r['m']},{r['step']},{r['seconds']:.9f}" for r in rows]

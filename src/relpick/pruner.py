@@ -22,17 +22,20 @@ marginals (the classic (1 - 1/e) greedy guarantee): the objective is
 submodular, so a stale marginal is an upper bound, and refreshing heap
 tops until the freshest stays on top picks what a full pass would.
 
-One routine, ``_exact_gains``, computes every exact marginal: the first
-full pass and each CELF batch. A row's marginal is its own CSR segment
-sum, so the two agree bit for bit. Each call cuts its rows into runs
-holding at most ``_FILL_EDGES`` stored edges (a larger row is a run of
-its own) and writes each run's marginals into one output array, so its
-temporaries stay bounded whatever m. A surrogate step costs a refresh
-over the pick's neighbors plus one O(m) argmax; the similarity scan's
-update is dense, so its step stays O(m d), the same at every step. On
-rows computed on demand the steps are uneven: the step whose pick has
-no row yet makes one call of the ball stage for up to _PREFETCH_ROWS
-rows and carries the work of the steps after it.
+Two routines compute the exact marginals: ``_first_pass`` every row's
+at cn = 0, CELF's first pick, and ``_exact_gains`` each CELF batch's.
+A row's marginal is its own CSR segment sum, so the two agree bit for
+bit; at cn = 0 it is the sum of u(w C) over the row's edges, so the
+first pass reads consecutive rows as one contiguous slice of the
+weights, with no index array and no gather of cn. Each call cuts its
+rows into runs holding at most ``_FILL_EDGES`` stored edges (a larger
+row is a run of its own) and writes each run's marginals into one
+output array, so its temporaries stay bounded whatever m. A surrogate
+step costs a refresh over the pick's neighbors plus one O(m) argmax; the
+similarity scan's update is dense, so its step stays O(m d), the same at
+every step. On rows computed on demand the steps are uneven: the step
+whose pick has no row yet makes one call of the ball stage for up to
+_PREFETCH_ROWS rows and carries the work of the steps after it.
 
 ``select`` on a ``simgraph.BallStage`` runs the surrogate rule, plain or
 balanced, on the rows that the stage computes on demand. A surrogate
@@ -246,13 +249,12 @@ def _self_gains(conf: np.ndarray, u: Utility):
 
 
 def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
-    """Exact marginals at ``rows``: all rows (``_ALL``) or any ids, in the
-    order given. The rows are cut into runs of consecutive entries whose
-    stored edges number at most ``_FILL_EDGES`` in all (a row holding
-    more is a run of its own); each run's edges are gathered segment by
-    segment and its marginals written into one output array. A row's
-    marginal is its own segment sum whatever run holds it, so any two
-    calls agree bit for bit."""
+    """Exact marginals at ``rows``, any ids in the order given. The rows
+    are cut into runs of consecutive entries whose stored edges number at
+    most ``_FILL_EDGES`` in all (a row holding more is a run of its own);
+    each run's edges are gathered segment by segment and its marginals
+    written into one output array. A row's marginal is its own segment sum
+    whatever run holds it, so any two calls agree bit for bit."""
     def gains_at(cn: np.ndarray, rows) -> np.ndarray:
         lo = G.indptr[:-1][rows]
         counts = G.indptr[1:][rows] - lo
@@ -268,6 +270,25 @@ def _exact_gains(G: NeighborGraph, conf: np.ndarray, u: Utility):
             a = b
         return out
     return gains_at
+
+
+def _first_pass(G: NeighborGraph, conf: np.ndarray, u: Utility) -> np.ndarray:
+    """Every row's exact marginal at cn = 0, CELF's first pass: bit for bit
+    ``_exact_gains``' at all rows on a zero cn. There u(cn[j] + inc) -
+    u(cn[j]) is u(inc) - u(0.0), since 0.0 + inc == inc once a -0.0
+    confidence is read as 0.0 (the weights are positive). So no cn is
+    read, and consecutive rows read one contiguous slice of the weights,
+    with no index array, in runs of at most ``_FILL_EDGES`` edges (a row
+    holding more is a run of its own)."""
+    ends, out, a = G.indptr[1:], np.empty(G.m), 0
+    c, u0 = conf + 0.0, u(0.0)  # u0 is -0.0 for a piecewise knot (0, -0.0), else 0.0
+    while a < G.m:
+        lo = G.indptr[a]
+        b = max(int(np.searchsorted(ends, lo + _FILL_EDGES, side="right")), a + 1)
+        inc = G.weights[lo:G.indptr[b]] * np.repeat(c[a:b], np.diff(G.indptr[a:b + 1]))
+        out[a:b] = np.add.reduceat(u(inc) - u0, G.indptr[a:b] - lo)
+        a = b
+    return out
 
 
 def _best_of(gains_at, gains: np.ndarray):
@@ -291,22 +312,23 @@ def _best_of(gains_at, gains: np.ndarray):
     return pick
 
 
-def _celf(gains_at):
+def _celf(first_pass, gains_at):
     """Lazy pick policy over exact marginals, one heap per group k.
     Stale gains are upper bounds by submodularity, so a heap top only
     needs refreshing until the freshest entry stays on top. The first
-    pick computes one ``gains_at`` pass over all rows, and each group's
-    heap is filled from that pass at the group's first turn; each refresh
-    pops up to ``_CELF_BATCH`` consecutive stale tops and recomputes them
-    in one ``gains_at`` call, so the rows the last update moved go
-    unused. The (-gain, index) keys keep ties on the lowest index."""
+    pick, at cn = 0, computes every row's marginal in one ``first_pass()``
+    call (``_first_pass``), and each group's heap is filled from that
+    pass at the group's first turn; each refresh pops up to
+    ``_CELF_BATCH`` consecutive stale tops and recomputes them in one
+    ``gains_at`` call (``_exact_gains``), so the rows the last update
+    moved go unused. The (-gain, index) keys keep ties on the lowest index."""
     heaps, first, steps = {}, None, itertools.count()
 
     def pick(cn: np.ndarray, moved, k: int, ids: np.ndarray) -> tuple[int, float]:
         nonlocal first
         step = next(steps)  # picks made before this one
         if step == 0:
-            first = gains_at(cn, _ALL)
+            first = first_pass()
         if k not in heaps:
             heaps[k] = [(-g, x, 0) for g, x in zip(first[ids].tolist(), ids.tolist())]
             heapq.heapify(heaps[k])
@@ -439,7 +461,7 @@ def select(
     if cfg.rule == "surrogate":  # a self gain moves only where cn moved
         pick = _best_of(_self_gains(C.values, u), gains)
     else:  # exact and lazy: one CELF computation
-        pick = _celf(_exact_gains(G, C.values, u))
+        pick = _celf(partial(_first_pass, G, C.values, u), _exact_gains(G, C.values, u))
     rows = G.neighbors if isinstance(G, NeighborGraph) else _rows_on_demand(G, gains, cfg.budget)
     return _greedy(G.m, cfg, u, labels, pick, _graph_rows(rows, C.values))
 

@@ -5,13 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import relpick
-from relpick import oracle, pruner, simgraph
+from relpick import cli, oracle, pruner, simgraph
 from relpick.cli import build_parser, main
 from relpick.dataspec import (
     SELECTION_RULES,
@@ -183,6 +184,30 @@ class TestSelectCommand:
         assert rc == 2
         assert capsys.readouterr().err == (
             "relpick: error: --tau 0.25 differs from the graph cache's tau 0.5\n")
+
+    def test_cached_select_lets_go_of_the_embeddings_before_the_load(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # wide rows and a high tau: the embeddings outweigh the cache, which
+        # holds all that the selection reads
+        E, C, _, _ = oracle.random_instance(0, m=300, d=1024, c=3, cluster_spread=0.3)
+        emb, conf, cache = tmp_path / "e.bin", tmp_path / "c.txt", tmp_path / "g.bin"
+        write_matrix_binary(emb, E.data)
+        write_vector_text(conf, C.values)
+        simgraph.save_graph(cache, simgraph.build_graph(E, 0.95))
+        assert cache.stat().st_size < E.data.nbytes, "precondition"
+        held, load = [], simgraph.load_graph
+        monkeypatch.setattr(simgraph, "load_graph",
+                            lambda path: held.append(tracemalloc.get_traced_memory()[0])
+                            or load(path))
+        tracemalloc.start()
+        try:
+            rc = main(["select", "--embeddings", str(emb), "--confidences", str(conf),
+                       "--budget", "10", "--graph", str(cache)])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and len(held) == 1
+        assert held[0] < E.data.nbytes, f"{held[0]} bytes held at the load"
+        assert json.loads(capsys.readouterr().out)["graph"]["source"] == "cache"
 
     @pytest.mark.parametrize("flag", ["--confidences", "--labels"])
     def test_length_mismatch_message(self, fixture_files, capsys, flag):
@@ -563,14 +588,38 @@ class TestFileErrors:
         assert rc == 3
         assert "missing.bin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["select", "graph"])
-    def test_unwritable_out_exits_3(self, fixture_files, capsys, command):
+    @staticmethod
+    def out_argv(command, emb, conf, out):
+        if command == "bench":
+            return ["bench", "--sizes", "512", "--steps", "8", "--d", "8", "--out", out]
+        argv = [command, "--embeddings", emb, "--tau", "0.5", "--out", out]
+        return argv + ([] if command == "graph" else ["--confidences", conf, "--budget", "1"])
+
+    @pytest.mark.parametrize("command", ["select", "graph", "oracle", "bench"])
+    def test_unwritable_out_exits_3(self, fixture_files, monkeypatch, capsys, command):
+        # refused before any input is read, let alone the build or selection run
         tmp, emb, conf = fixture_files
-        argv = ["--embeddings", emb, "--tau", "0.5", "--out", str(tmp / "no-such-dir" / "o")]
-        if command == "select":
-            argv += ["--confidences", conf, "--budget", "1"]
-        assert main([command] + argv) == 3
-        assert capsys.readouterr().err.startswith("relpick: error: ")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the run started before --out was checked")
+        for owner, name in ((cli, "ingest_embeddings"), (simgraph, "build_graph"),
+                            (pruner, "select_embeddings"), (oracle, "random_instance")):
+            monkeypatch.setattr(owner, name, no_work)
+        out = tmp / "no-such-dir" / "o"
+        assert main(self.out_argv(command, emb, conf, str(out))) == 3
+        assert capsys.readouterr().err == (
+            f"relpick: error: --out {out}: no such directory {out.parent}\n")
+
+    @pytest.mark.parametrize("command, flag, bad", [
+        ("select", "--tau", "1.5"), ("graph", "--tau", "1.5"), ("oracle", "--tau", "1.5"),
+        ("bench", "--steps", "0"),
+    ])
+    def test_usage_error_comes_before_a_missing_out_directory(self, fixture_files, command,
+                                                              flag, bad):
+        tmp, emb, conf = fixture_files
+        argv = self.out_argv(command, emb, conf, str(tmp / "no-such-dir" / "o"))
+        argv[argv.index(flag) + 1] = bad
+        assert main(argv) == 2
 
     @pytest.mark.parametrize("flag, text, message", [
         ("--labels", "0\n1e20\n1\n", "labels must be integers"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -315,19 +316,33 @@ class TestSelect:
                                                         fill_edges):
         # every exact-marginal call (the fill, each CELF batch) runs in
         # blocks of at most fill_edges edges; each must equal, bit for bit,
-        # one reduceat over the whole CSR on that cn
-        u, exact_gains = Utility.tanh(), pruner._exact_gains
+        # one reduceat over the whole CSR on that cn, the fill's at cn = 0,
+        # under every utility and with a zero confidence; odd seeds sign
+        # the zeros, the confidence's and the piecewise utility's u(0)
+        exact_gains, first_pass = pruner._exact_gains, pruner._first_pass
         monkeypatch.setattr(pruner, "_FILL_EDGES", fill_edges)
-        for seed in range(6):
+        for seed, name in itertools.product(range(6), ("tanh", "identity", "piecewise")):
+            zero = -0.0 if seed % 2 else 0.0
+            knots = ((0, zero), (0.5, 0.4), (2, 0.9)) if name == "piecewise" else None
             E, C, labels, _ = oracle.random_instance(seed, m=120, d=6, c=3, cluster_spread=0.3,
                                                      noise_fraction=0.2)
+            C = ConfidenceVector(np.where(np.arange(C.m) == seed, zero, C.values))
             G = build_graph(E, 0.6)
+            cfg = SelectionConfig(budget=60, tau=0.6, rule=rule, balanced=balanced, utility=name,
+                                  utility_knots=knots)
+            u = pruner.utility_from_config(cfg)
             inc = G.weights.astype(np.float64) * C.values[np.repeat(np.arange(G.m),
                                                                     np.diff(G.indptr))]
-            refreshed = []  # stored edges of each call after the fill
+            fills, refreshed = [], []  # refreshed: stored edges of each CELF batch
 
             def full_pass(cn):
                 return pruner._marginals(cn, G.indices, inc, G.indptr[:-1], u)
+
+            def checked_fill(G, conf, u):
+                gains = first_pass(G, conf, u)
+                assert gains.tobytes() == full_pass(np.zeros(G.m)).tobytes()
+                fills.append(gains.size)
+                return gains
 
             def checked_gains(G, conf, u):
                 gains_at = exact_gains(G, conf, u)
@@ -335,16 +350,15 @@ class TestSelect:
                 def wrapped(cn, rows):
                     gains = gains_at(cn, rows)
                     assert np.array_equal(gains, full_pass(cn)[rows])
-                    if cn.any():
-                        refreshed.append(int(np.diff(G.indptr)[rows].sum()))
+                    refreshed.append(int(np.diff(G.indptr)[rows].sum()))
                     return gains
                 return wrapped
+            monkeypatch.setattr(pruner, "_first_pass", checked_fill)
             monkeypatch.setattr(pruner, "_exact_gains", checked_gains)
-            cfg = SelectionConfig(budget=60, tau=0.6, rule=rule, balanced=balanced)
             select(G, C, labels if balanced else None, cfg)
-            assert refreshed
-            if fill_edges == 50:  # refreshes, not only the fill, cross blocks
-                assert max(refreshed) > 2 * fill_edges
+            assert fills == [G.m] and refreshed
+            if fill_edges == 50:  # the fill and the refreshes cross blocks
+                assert G.nnz > 2 * fill_edges and max(refreshed) > 2 * fill_edges
 
     @pytest.mark.parametrize("rule", ["exact", "lazy"])
     @pytest.mark.parametrize("fill_edges", [8, 50, 1 << 18])
@@ -425,21 +439,30 @@ class TestSelect:
                                              Utility.tanh())
 
     def test_lazy_computes_vectorized_marginals_once(self, monkeypatch):
-        # balanced exact too: after the fill, every call is one CELF batch
-        # from one class's heap
+        # balanced exact too: the fill reads no cn and makes no _marginals
+        # call, and every later call is one CELF batch from one class's heap
         E, C, labels, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)
         G = build_graph(E, 0.6)
-        segments = []
-        marginals = pruner._marginals
+        assert G.nnz < pruner._FILL_EDGES  # so each batch is one _marginals call
+        segments, fills = [], []
+        marginals, first_pass = pruner._marginals, pruner._first_pass
         monkeypatch.setattr(pruner, "_marginals",
                             lambda *a: segments.append(a[3].size) or marginals(*a))
+
+        def counted_fill(*args):
+            before = len(segments)
+            gains = first_pass(*args)
+            fills.append(len(segments) - before)
+            return gains
+        monkeypatch.setattr(pruner, "_first_pass", counted_fill)
         for rule, balanced in (("lazy", False), ("exact", True)):
             segments.clear()
+            fills.clear()
             cfg = SelectionConfig(budget=40, tau=0.6, rule=rule, balanced=balanced)
             select(G, C, labels if balanced else None, cfg)
-            assert G.nnz < pruner._FILL_EDGES and segments[0] == G.m  # the fill, in one block
-            assert all(1 <= n <= pruner._CELF_BATCH for n in segments[1:])  # refresh batches
-            assert max(segments[1:]) > 1
+            assert fills == [0]  # one fill, with no _marginals call
+            assert all(1 <= n <= pruner._CELF_BATCH for n in segments)  # refresh batches
+            assert max(segments) > 1
 
     def test_lazy_wall_times_are_per_pick(self):
         E, C, _, _ = oracle.random_instance(3, m=200, d=8, c=4, cluster_spread=0.3)

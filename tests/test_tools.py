@@ -23,7 +23,7 @@ class TestPickDigests:
         assert time.perf_counter() - t0 < 30.0
         assert run.returncode == 0, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "0 of 57 cases differ"
+        assert lines[-1] == "0 of 75 cases differ"
         assert all(line.endswith("  same") for line in lines[:-1])
 
     def test_a_gain_one_ulp_off_is_a_difference(self, tmp_path):
@@ -36,7 +36,7 @@ class TestPickDigests:
         run = pick_digests(ROOT, tmp_path)
         assert run.returncode == 1, run.stderr
         lines = run.stdout.splitlines()
-        assert lines[-1] == "39 of 57 cases differ"
+        assert lines[-1] == "57 of 75 cases differ"
         assert all(line.endswith("  DIFF") != (" graph " in line) for line in lines[:-1])
 
 

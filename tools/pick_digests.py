@@ -14,14 +14,17 @@ instances and digests, on each:
   with and without class balancing at budgets of 100 and m / 20, and
   without it at m / 2. Each tree takes the cold path its own rule
   chooses, so two trees with different rules compare their paths case
-  by case.
+  by case;
+- `relpick select --graph` on the saved cache, through `cli.main`, under
+  each rule, with and without class balancing, at a budget of m / 10.
 
 A selection's digest is a sha256 prefix of its (order, gains,
 objective_trace), the floats written by `repr`, which round-trips them
 exactly; a `relpick select` run's also covers its `config` and
-`warnings`. The run's `graph` block, which names the path taken and
+`warnings`. A cold run's `graph` block, which names the path taken and
 its counts, is a case of its own ("... graph"), so a change of path
-shows apart from the picks. A cache's digest is one of its bytes.
+shows apart from the picks; a cached run's block, the cache's summary,
+is digested with its picks. A cache's digest is one of its bytes.
 
 Prints one line per case with both trees' digests and "same" or "DIFF",
 then exits 1 if any case differs or is missing from a tree, else 0.
@@ -41,6 +44,7 @@ from pathlib import Path
 _CHILD = "--digests-of-this-process"  # the per-tree run, not for direct use
 INSTANCES = ((0, 3000), (1, 4500), (2, 6000))  # (seed, m)
 D, CLASSES, SPREAD, TAU = 16, 10, 0.1, 0.9
+PICKED = ("order", "gains", "objective_trace", "config", "warnings")  # a CLI result's picks
 
 
 def _digest(data: bytes) -> str:
@@ -57,6 +61,11 @@ def digests() -> dict:
 
     def record(name, r):
         cases[name] = _digest(repr((r.order, r.gains, r.objective_trace)).encode())
+
+    def run_cli(argv) -> dict:
+        if cli.main(argv) != 0:
+            raise SystemExit(f"relpick {' '.join(argv)} failed")
+        return json.loads(Path(argv[argv.index("--out") + 1]).read_text())
 
     with tempfile.TemporaryDirectory() as tmp:
         for seed, m in INSTANCES:
@@ -86,12 +95,19 @@ def digests() -> dict:
                         "--budget", str(budget), "--tau", repr(TAU), "--out", str(files[3])]
                 if balanced:
                     argv += ["--balanced", "--labels", str(files[2])]
-                if cli.main(argv) != 0:
-                    raise SystemExit(f"relpick {' '.join(argv)} failed")
-                r = json.loads(files[3].read_text())
-                cases[f"{key} {name}"] = _digest(repr([r[k] for k in (
-                    "order", "gains", "objective_trace", "config", "warnings")]).encode())
+                r = run_cli(argv)
+                cases[f"{key} {name}"] = _digest(repr([r[k] for k in PICKED]).encode())
                 cases[f"{key} {name} graph"] = _digest(repr(r["graph"]).encode())
+            for rule in ("surrogate", "exact", "lazy"):
+                for balanced in (False, True):
+                    argv = ["select", "--embeddings", str(files[0]), "--confidences",
+                            str(files[1]), "--graph", str(Path(tmp) / "g.bin"), "--rule", rule,
+                            "--budget", str(m // 10), "--out", str(files[3])]
+                    if balanced:
+                        argv += ["--balanced", "--labels", str(files[2])]
+                    r = run_cli(argv)
+                    cases[f"{key} cli cache {rule}{' balanced' if balanced else ''}"] = _digest(
+                        repr([r[k] for k in (*PICKED, "graph")]).encode())
     return out
 
 
@@ -127,7 +143,7 @@ def main(argv=None) -> int:
     for case in sorted(parent.keys() | change.keys()):
         a, b = parent.get(case, "-"), change.get(case, "-")
         differ += a != b
-        print(f"{case:38s}  {a:16s}  {b:16s}  {'same' if a == b else 'DIFF'}")
+        print(f"{case:40s}  {a:16s}  {b:16s}  {'same' if a == b else 'DIFF'}")
     print(f"{differ} of {len(parent.keys() | change.keys())} cases differ")
     return 1 if differ else 0
 
