@@ -365,17 +365,18 @@ def _rows_on_demand(stage: BallStage, gains: np.ndarray, budget: int):
     and at most the picks still to make of the budget (clamped to m).
     A row is held until it is picked; a picked row's gain is -inf, so a
     row is free unless it is held or picked, and none is computed
-    twice."""
+    twice. The rows are ranked by the negated gains, with the held rows
+    at +inf."""
     held, left = {}, min(budget, stage.m)  # left: the picks still to make, x's included
 
     def neighbors(x: int) -> tuple[np.ndarray, np.ndarray]:
         nonlocal left
         if x not in held:
-            free = gains.copy()  # a picked row's gain is -inf, x's included
-            free[list(held)] = -np.inf
+            key = -gains  # a picked row's key is +inf, x's included
+            key[list(held)] = np.inf
             k = min(_PREFETCH_ROWS, left) - 1
-            top = np.argpartition(-free, k)[:k]  # the k highest
-            ids = np.append(top[free[top] > -np.inf], x)
+            top = np.argpartition(key, k)[:k]  # the k highest gains
+            ids = np.append(top[key[top] < np.inf], x)
             held.update(zip(ids.tolist(), stage(ids)))
         left -= 1
         return held.pop(x)

@@ -39,8 +39,11 @@ to write each edge at the back of row i. Row i holds its mirrored edges
 (columns < i), then its self-loop and the edges it found (columns > i),
 so columns are sorted per row. After the products the build holds the
 records (6 bytes per edge), the CSR (8 bytes per edge) and one band's
-temporaries; ``NeighborGraph.validate`` holds O(m) arrays and one band's
-temporaries beside the graph. Stored weights always lie in [tau, 1].
+temporaries. ``NeighborGraph.validate`` walks the same bands and holds
+one O(m) array beside the graph, each row's fill cursor, and one band's
+temporaries: every mirror of a row comes from its own band or an
+earlier one, so each band's rows are settled as the band ends. Stored
+weights always lie in [tau, 1].
 
 ``ball_stage`` runs the ball stage once, and the ``BallStage`` it returns
 keeps the balls' reach test. ``BallStage.graph`` builds the graph from
@@ -128,22 +131,24 @@ class NeighborGraph:
 
     def validate(self) -> None:
         """Accept exactly what ``build_graph`` writes, in O(nnz), in one walk
-        over bands of _BAND_ROWS rows: beside the graph it holds O(m)
-        arrays and one band's temporaries.
+        over bands of _BAND_ROWS rows: beside the graph it holds one O(m)
+        cursor array and one band's temporaries.
 
         Each band is checked for self-loops and for columns increasing
         within each row, and its upper edges (column > row), in row-major
         order, are handed to the rows of their columns, each row filled
-        from its start as ``build_graph`` fills it; an edge's slot must lie
-        before the end of its column's row and hold the lower edge (column
-        < row) with row, column and weight swapped. Once every row's fill
-        stops at its self-loop, every lower edge was matched, so the
+        from its start as ``build_graph`` fills it; each column's run of
+        slots must end before the end of its row, and each slot hold the
+        lower edge (column < row) with row, column and weight swapped.
+        Every mirror of a row comes from a band at or before its own, so
+        the band's rows are settled as it ends: each row's fill must stop
+        at its self-loop. Then every lower edge was matched, so the
         adjacency is symmetric with equal weights. A missing self-loop is
         reported first, then columns that do not strictly increase, then
         asymmetry."""
         if self.indptr.shape != (self.m + 1,) or self.indptr[0] != 0:
             raise DataError("graph: malformed row offsets")
-        if np.any(np.diff(self.indptr) < 0):
+        if np.any(self.indptr[1:] < self.indptr[:-1]):
             raise DataError("graph: row offsets decrease")
         if self.indices.size != self.weights.size or self.indices.size != self.indptr[-1]:
             raise DataError("graph: index/weight arrays inconsistent with offsets")
@@ -155,12 +160,12 @@ class NeighborGraph:
         w_lo, w_hi = (w.min(), w.max()) if w.size else (1.0, 1.0)
         if w_lo < edge_threshold(self.tau) or w_hi > 1.0:
             raise DataError("graph: edge weight outside [tau, 1]")
-        loop = np.empty(self.m, dtype=np.int64)  # each row's self-loop position
         fill = self.indptr[:-1].copy()  # each row's next lower edge to match
         # A NaN weight passes the range check but equals nothing.
         rising, symmetric = True, not np.isnan(w_lo)
-        for lo, hi, rows in _row_bands(self.indptr):
-            s = self.indptr[lo]
+        for lo in range(0, self.m, _BAND_ROWS):
+            hi, s = min(lo + _BAND_ROWS, self.m), self.indptr[lo]
+            rows = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.indptr[lo:hi + 1]))
             c = cols[s:s + rows.size]
             hits = np.flatnonzero(c == rows)
             looped = np.zeros(hi - lo, dtype=bool)
@@ -170,18 +175,21 @@ class NeighborGraph:
             up = c[1:] > c[:-1]
             up[self.indptr[lo + 1:hi] - s - 1] = True  # every row holds its self-loop, so none is empty
             rising &= bool(up.all())  # raised once every row's self-loop is checked
-            loop[lo:hi] = s + hits[:hi - lo]  # one self-loop per row when rising
             if symmetric:  # else only the structure is left to check
                 upper = np.flatnonzero(c > rows)
                 by_col = upper[_stable_order(c[upper], self.m)]  # each column's upper edges in ascending row
                 j = c[by_col]
                 at = _slots(fill, j)
-                symmetric = (not np.any(at >= self.indptr[j + 1])  # more upper edges than the row holds
+                # each column's last upper edge: where the next edge's column differs, and the last
+                end = np.flatnonzero(np.append(j[1:] != j[:-1], j.size > 0))
+                symmetric = (not np.any(at[end] >= self.indptr[j[end] + 1])  # more than the row holds
                              and np.array_equal(cols[at], rows[by_col])
-                             and np.array_equal(w[at], w[s + by_col]))
+                             and np.array_equal(w[at], w[s + by_col])
+                             # one self-loop per row when rising; no later band fills these rows
+                             and np.array_equal(fill[lo:hi], s + hits[:hi - lo]))
         if not rising:
             raise DataError("graph: column ids not strictly increasing within a row")
-        if not (symmetric and np.array_equal(fill, loop)):
+        if not symmetric:
             raise DataError("graph: adjacency is not symmetric")
 
 
@@ -552,15 +560,6 @@ def _slots(fill: np.ndarray, rows: np.ndarray) -> np.ndarray:
     at += np.arange(rows.size)
     fill[first] += run
     return at
-
-
-def _row_bands(indptr: np.ndarray):
-    """(lo, hi, rows) per band of _BAND_ROWS rows: rows lo..hi-1 and the row
-    of each of their entries, indptr[lo]..indptr[hi]-1 (int32)."""
-    m = len(indptr) - 1
-    for lo in range(0, m, _BAND_ROWS):
-        hi = min(lo + _BAND_ROWS, m)
-        yield lo, hi, np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
 
 
 @dataclass(frozen=True)

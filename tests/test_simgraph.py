@@ -403,6 +403,22 @@ class TestValidate:
         with pytest.raises(DataError, match="not symmetric"):
             load_saved(tmp_path, G)
 
+    @pytest.mark.parametrize("band", [1, 2])
+    def test_more_upper_edges_than_the_column_row_holds_across_bands(self, tmp_path,
+                                                                     monkeypatch, band):
+        # the two upper edges lie in bands before their column's row
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", band)
+        self.test_more_upper_edges_than_the_column_row_holds(tmp_path)
+
+    @pytest.mark.parametrize("band", [1, 2, 3])
+    @pytest.mark.parametrize("edges", [[(2, 0)], [(0, 2), (2, 0), (2, 1)]])
+    def test_lower_edge_with_no_upper_edge_rejected(self, tmp_path, monkeypatch, band, edges):
+        # row 2 holds a lower edge that no upper edge reaches: only its fill,
+        # stopping short of its self-loop when row 2's band ends, shows it
+        monkeypatch.setattr(simgraph, "_BAND_ROWS", band)
+        with pytest.raises(DataError, match="not symmetric"):
+            load_saved(tmp_path, hand_graph(3, [(i, j, 0.95) for i, j in edges]))
+
     def test_nan_weight_rejected(self, tmp_path):
         G = hand_graph(3, [(0, 1, 0.95), (1, 0, 0.95)])
         w = G.weights.copy()
@@ -436,6 +452,22 @@ class TestValidate:
         finally:
             tracemalloc.stop()
         assert peak < G.nnz, f"{peak / G.nnz:.2f} bytes per edge"
+
+    def test_peak_memory_per_row_is_one_cursor_array(self):
+        # Self-loops alone: beside the graph, validate holds each row's fill
+        # cursor (8 bytes per row) and one band's temporaries; a second
+        # O(m) table would add 8 bytes per row
+        m = 200_000
+        G = NeighborGraph(m=m, tau=0.9, indptr=np.arange(m + 1, dtype=np.int64),
+                          indices=np.arange(m, dtype=np.int32),
+                          weights=np.ones(m, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            G.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * m, f"{peak / m:.2f} bytes per row"
 
 
 def whole_matrix_graph(E, tau):
